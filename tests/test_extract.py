@@ -75,15 +75,20 @@ def test_determinism_same_bytes():
 def test_split_extraction_equals_whole():
     # giant scenario rows: i % 100 in {96, 98} (fixtures.scenario_for)
     for i in (96, 98, 196):
-        payload = gen_page(i)["html"]
-        whole = extract_html(payload)
-        segs = split_html(payload, 32_000)
-        assert len(segs) > 1, "giant doc should split"
-        assert b"".join(segs) == payload
-        joined = []
-        for s in segs:
-            joined.extend(extract_html(s).span_texts)
-        assert joined == whole.span_texts
+        page = gen_page(i)["html"]
+        # an unclosed <a> right after <body> must not stop the splitting:
+        # the next block tag closes it, so later block tags are cut points
+        unclosed = page.replace(b"<body>", b"<body><a href='/x'>", 1)
+        assert unclosed != page
+        for payload in (page, unclosed):
+            whole = extract_html(payload)
+            segs = split_html(payload, 32_000)
+            assert len(segs) > 1, "giant doc should split"
+            assert b"".join(segs) == payload
+            joined = []
+            for s in segs:
+                joined.extend(extract_html(s).span_texts)
+            assert joined == whole.span_texts
 
 
 def test_split_small_doc_noop():

@@ -3,9 +3,11 @@ byte-equivalent to the regex-tokenizer reference implementation it
 replaced (the golden contract documented in extract.py).
 
 The reference here re-implements the original ``_TOKEN_RE`` tokenizer
-loop verbatim; hypothesis drives both over adversarial tag soup
-(unterminated tags/comments, nested boilerplate, stray ``<``/``>``,
-entities, self-closing suppress tags)."""
+loop verbatim, with the tokenizer defined in this file; hypothesis drives
+both over adversarial tag soup (unterminated tags/comments, nested
+boilerplate, stray ``<``/``>``, entities, self-closing suppress tags)."""
+
+import re
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,11 +16,12 @@ from xs_vlm_ocr_ray.extract import (
     _BOILER_TAGS,
     _SUPPRESS_TAGS,
     _TAGNAME_RE,
-    _TOKEN_RE,
     _keep_block,
     _norm,
     _scan,
 )
+
+_TOKEN_RE = re.compile(r"<!--.*?(?:-->|$)|<[^>]*>|[^<]+", re.S)
 
 
 def _scan_reference(doc: str) -> list[str]:
@@ -128,6 +131,9 @@ def test_split_extraction_equals_whole_property(pieces, max_bytes):
     whole = extract_html(payload)
     segs = split_html(payload, max_bytes)
     assert b"".join(segs) == payload  # lossless re-concatenation
+    assert all(segs) or segs == [b""]  # no empty segment of a non-empty doc
+    # a cut is made only once a segment has reached the byte budget
+    assert all(len(s) >= max_bytes for s in segs[:-1])
     texts = []
     for s in segs:
         r = extract_html(s)

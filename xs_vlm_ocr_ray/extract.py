@@ -41,9 +41,7 @@ _SUPPRESS_TAGS = frozenset(
     "script style head title noscript template svg iframe".split()
 )
 
-_TOKEN_RE = re.compile(r"<!--.*?(?:-->|$)|<[^>]*>|[^<]+", re.S)
 _TAGNAME_RE = re.compile(r"</?\s*([a-zA-Z][a-zA-Z0-9]*)")
-_WS_RE = re.compile(r"\s+")
 # Fast path: the handful of entities the synthetic corpus uses; anything
 # else falls back to html.unescape (both deterministic).
 _COMMON_ENT = {
@@ -122,14 +120,22 @@ def extract_html(payload: bytes | memoryview | None) -> ExtractResult:
     return ExtractResult(True, "", _scan(doc))
 
 
-def _scan(doc: str) -> list[str]:
+def _scan(doc: str, cuts: list[int] | None = None) -> list[str]:
     """Single-pass tag-stream scan → kept block texts in document order.
 
+    This is the engine's only tag-stream state machine. With ``cuts``
+    given, it instead appends the position of every block tag reached
+    at boiler depth 0 outside suppression and returns no spans; the
+    pending block is discarded there rather than normalized. Such a tag
+    flushes the pending block and resets ``a_depth``, so the scanner
+    state after it equals the state of a fresh scan starting at it —
+    the cut points ``split_html`` chooses from.
+
     Implementation note: a `str.find`-based pointer walk, byte-equivalent
-    to tokenizing with ``_TOKEN_RE`` (``<!--.*?(?:-->|$)|<[^>]*>|[^<]+``)
-    but ~2× faster and far lighter on allocations — only text runs are
-    materialized; tag tokens are inspected in place via positional regex
-    match. Equivalences preserved exactly (golden-gated):
+    to tokenizing with ``<!--.*?(?:-->|$)|<[^>]*>|[^<]+`` but ~2× faster
+    and far lighter on allocations — only text runs are materialized;
+    tag tokens are inspected in place via positional regex match.
+    Equivalences preserved exactly (golden-gated):
     - an unterminated ``<`` (no closing ``>``) is skipped as a single
       char and scanning resumes — the regex alternation does the same
       (no token matches at the ``<``, engine advances one position);
@@ -143,14 +149,13 @@ def _scan(doc: str) -> list[str]:
     suppress: str | None = None  # tag name whose close ends suppression
 
     def flush() -> None:
-        if not buf:
-            return
-        text = _norm("".join(buf))
-        link = _norm("".join(linkbuf)) if linkbuf else ""
+        if cuts is None:
+            text = _norm("".join(buf))
+            link = _norm("".join(linkbuf)) if linkbuf else ""
+            if boiler_depth == 0 and _keep_block(len(text), len(link)):
+                spans.append(text)
         buf.clear()
         linkbuf.clear()
-        if boiler_depth == 0 and _keep_block(len(text), len(link)):
-            spans.append(text)
 
     n = len(doc)
     find = doc.find
@@ -197,10 +202,14 @@ def _scan(doc: str) -> list[str]:
         if name in _BLOCK_TAGS:
             if buf:
                 flush()
-            # block elements implicitly close <a> (HTML5 tree builder):
-            # without this an UNCLOSED anchor leaks a_depth forever and
-            # every later block counts as pure link text — one malformed
-            # '<a>' silently discarded the whole rest of the document
+            if cuts is not None and boiler_depth == 0:
+                cuts.append(pos)
+            # a block tag closes any open <a>. This deliberately diverges
+            # from HTML5, whose tree builder reconstructs formatting
+            # elements across blocks: it bounds an UNCLOSED anchor's
+            # damage to one block (else every later block counts as pure
+            # link text and is dropped), and it is what makes every
+            # depth-0 block tag a cut point for split_html
             a_depth = 0
             if name in _BOILER_TAGS:
                 if closing:
@@ -225,17 +234,18 @@ def split_html(payload: bytes, max_bytes: int) -> list[bytes]:
     """Split a giant document into segments at neutral block boundaries
     such that ``concat(extract(seg).span_texts) == extract(whole).span_texts``.
 
-    A cut point is the start of a block-boundary tag seen at
-    boiler_depth == 0, a_depth == 0, outside suppression, with no pending
-    block text — i.e. scanner state is the initial state, so extracting
-    each segment independently is exact. This is the skew path for giant
-    DOMs (SURVEY.md §4.2 / north_rule): segments become separate rows,
-    are extracted by whatever actor gets them, and are reassembled with a
-    ``groupby(url)`` ordered join.
+    Cut points come from ``_scan`` itself: the start of every block tag
+    the scanner reaches at boiler depth 0 outside suppression, where its
+    state equals that of a fresh scan, so extracting each segment
+    independently is exact. A segment is cut at the first such point at
+    least ``max_bytes`` utf-8 bytes after its start. This is the skew path
+    for giant DOMs (SURVEY.md §4.2 / north_rule): segments become
+    separate rows, are extracted by whatever actor gets them, and are
+    reassembled in order.
 
-    Falls back to ``[payload]`` when the document is small or has no
-    usable cut points (worst case: one oversized row — handled by block
-    size caps, never by dropping data).
+    Falls back to ``[payload]`` when the document is small, is not valid
+    utf-8, or has no cut point past the budget (worst case: one oversized
+    row — handled by block size caps, never by dropping data).
     """
     if len(payload) <= max_bytes:
         return [payload]
@@ -243,70 +253,18 @@ def split_html(payload: bytes, max_bytes: int) -> list[bytes]:
         doc = payload.decode("utf-8")
     except UnicodeDecodeError:
         return [payload]
-
-    cuts: list[int] = []
-    boiler_depth = 0
-    a_depth = 0
-    suppress: str | None = None
-    has_text = False
+    points: list[int] = []
+    _scan(doc, points)
     # segment size is measured in encoded BYTES (the contract), not
-    # characters — a CJK-heavy doc is ~3 bytes/char and would otherwise
-    # produce segments ~3x over budget. Byte length is accumulated
-    # incrementally (each slice encoded once → O(n) total).
-    acc_bytes = 0
-    acc_pos = 0
-
-    def bytes_to(pos: int) -> int:
-        nonlocal acc_bytes, acc_pos
-        if pos > acc_pos:
-            acc_bytes += len(doc[acc_pos:pos].encode("utf-8"))
-            acc_pos = pos
-        return acc_bytes
-
-    for m in _TOKEN_RE.finditer(doc):
-        tok = m.group(0)
-        if tok[0] != "<":
-            if suppress is None and not tok.isspace():
-                has_text = True
-            continue
-        if tok.startswith("<!--"):
-            continue
-        nm = _TAGNAME_RE.match(tok)
-        if nm is None:
-            continue
-        name = nm.group(1).lower()
-        closing = tok.startswith("</")
-        if suppress is not None:
-            if closing and name == suppress:
-                suppress = None
-            continue
-        if (
-            name in _BLOCK_TAGS
-            and not has_text
-            and boiler_depth == 0
-            and a_depth == 0
-            and m.start() > 0
-            and bytes_to(m.start()) >= max_bytes
-        ):
-            # cut BEFORE this tag
-            cuts.append(m.start())
-            acc_bytes = 0
-        if name in _SUPPRESS_TAGS:
-            if not closing and not tok.endswith("/>"):
-                suppress = name
-            continue
-        if name in _BLOCK_TAGS:
-            has_text = False
-            if name in _BOILER_TAGS:
-                boiler_depth = max(0, boiler_depth - 1) if closing else boiler_depth + 1
-        elif name == "a":
-            a_depth = max(0, a_depth - 1) if closing else a_depth + 1
-    if not cuts:
-        return [payload]
+    # characters: a CJK-heavy doc is ~3 bytes/char
     segs: list[bytes] = []
-    prev = 0
-    for c in cuts:
-        segs.append(doc[prev:c].encode("utf-8"))
-        prev = c
-    segs.append(doc[prev:].encode("utf-8"))
-    return [s for s in segs if s]
+    start = 0      # byte offset where the current segment starts
+    at = prev = 0  # byte / char offset of the last point seen
+    for p in points:
+        at += len(doc[prev:p].encode("utf-8"))
+        prev = p
+        if at - start >= max_bytes and at > start:
+            segs.append(payload[start:at])
+            start = at
+    segs.append(payload[start:])
+    return segs

@@ -40,7 +40,6 @@ import ray.data as rd
 
 from ..extract import extract_html
 from ..functions.hashing import content_hash_batch
-from ..functions.textnorm import merge_full_text, qt_trim
 from ..sources.pages import read_pages
 
 ENGINE_ID = "local_html"
@@ -169,7 +168,7 @@ def _extract_group(df: pd.DataFrame) -> pd.DataFrame:
         r = extract_html(payload)
         ms = (time.perf_counter_ns() - t0) // 1_000_000
         success, error = r.success, r.error
-        text = qt_trim(merge_full_text(r.span_texts)) if r.success else ""
+        text = r.full_text if r.success else ""
     out = {
         "url": rows["url"].to_numpy(),
         "extracted_text": [text] * len(rows),

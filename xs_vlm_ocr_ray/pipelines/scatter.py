@@ -37,9 +37,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from ..extract import extract_html, split_html
+from ..extract import ExtractResult, extract_html, split_html
 from ..functions.hashing import content_hash_batch
-from ..functions.textnorm import merge_full_text, qt_trim
 from ..sources.pages import read_pages
 
 ENGINE_ID = "local_html"
@@ -152,7 +151,7 @@ def _assemble_group(df: pd.DataFrame) -> pd.DataFrame:
         texts: list[str] = []
         for st in df["span_texts"]:
             texts.extend(st)
-        full = qt_trim(merge_full_text(texts))
+        full = ExtractResult(True, "", texts).full_text
         error = ""
     else:
         full = ""
