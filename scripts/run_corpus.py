@@ -104,6 +104,13 @@ def main(argv: list[str] | None = None) -> int:
         ):
             if val is not None:
                 ap.error(f"{flag} requires --pipeline training")
+        if args.no_resume and args.config and args.wave_shards:
+            # the hot-reload loop runs one wave per call and must resume
+            # from the manifest between calls, so --no-resume would redo
+            # one wave and then trust an earlier run's records
+            ap.error("--no-resume cannot be combined with the --config "
+                     "hot-reload loop (--wave-shards): later waves resume "
+                     "from the manifest; use a fresh --out instead")
 
     blocklist = None
     if args.blocklist is not None:
@@ -209,12 +216,11 @@ def main(argv: list[str] | None = None) -> int:
             # prescribes ("call it before building each wave's actor
             # pools"). Without this loop the watcher was constructed and
             # never polled again, so the advertised hot reload was inert.
-            total_waves = 0
-            resume = not args.no_resume
+            total_waves, total_wall = 0, 0.0
             while True:
-                summary = one_run(resume, max_waves=1)
-                resume = True  # later iterations continue THIS run
+                summary = one_run(True, max_waves=1)
                 total_waves += summary["waves"]
+                total_wall += summary["wall_s"]
                 if summary["waves"] == 0:
                     break
                 if watcher.poll():
@@ -223,6 +229,7 @@ def main(argv: list[str] | None = None) -> int:
                         cfg, args.model, prompt=args.prompt
                     )
             summary["waves"] = total_waves
+            summary["wall_s"] = total_wall
         else:
             summary = one_run(not args.no_resume)
 

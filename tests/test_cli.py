@@ -132,3 +132,38 @@ def test_run_corpus_rejects_misused_flags_and_bad_model(tiny_pages_dir, tmp_path
         capture_output=True, text=True, cwd="/root/repo",
     )
     assert p.returncode == 2 and "not an enabled model" in p.stderr
+
+
+def test_run_corpus_hot_reload_loop_flags_and_wall(tiny_pages_dir, tmp_path):
+    """The --config hot-reload loop (--wave-shards) resumes from the
+    manifest between its calls, so --no-resume is rejected there; its
+    wall_s sums every call instead of reporting only the last one (a
+    zero-wave convergence check)."""
+    import os
+
+    from xs_vlm_ocr_ray.state.manifest import load_manifest
+
+    checkout = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"models": [{"id": "m1", "engine": "local_html"}]}))
+    base = [sys.executable, "scripts/run_corpus.py", "--input", tiny_pages_dir,
+            "--config", str(cfg), "--wave-shards", "2", "--num-cpus", "2"]
+    p = subprocess.run(
+        [*base, "--out", str(tmp_path / "o1"), "--no-resume"],
+        capture_output=True, text=True, cwd=checkout,
+    )
+    assert p.returncode == 2 and "--no-resume" in p.stderr
+
+    out_dir = tmp_path / "o2"
+    p = subprocess.run(
+        [*base, "--out", str(out_dir)],
+        capture_output=True, text=True, timeout=600, cwd=checkout,
+    )
+    assert p.returncode == 0, p.stderr[-2000:]
+    summary = json.loads(p.stdout.strip().splitlines()[-1])
+    assert summary["waves"] == 2 and summary["rows"] == 200
+    wave_walls = {
+        rec["wave_dir"]: rec["wave_wall_s"] for rec in load_manifest(str(out_dir)).values()
+    }
+    assert len(wave_walls) == 2
+    assert summary["wall_s"] >= sum(wave_walls.values())

@@ -372,11 +372,9 @@ def test_ngram_pairs_ds_equivalence(docs_ds, ray_session):
     )
 
     want = ngram_jaccard_pairs(docs_ds, threshold=0.3)
-    assert want.attrs["n_capped_postings"] == 0
+    assert want.attrs["n_oversized_buckets"] == 0
     got = (
-        real_pairs_ds(
-            ngram_jaccard_pairs_ds(docs_ds, threshold=0.3), counter_col="n_capped"
-        )
+        real_pairs_ds(ngram_jaccard_pairs_ds(docs_ds, threshold=0.3))
         .to_pandas()
         .sort_values(["a", "b"])
         .reset_index(drop=True)
@@ -390,8 +388,8 @@ def test_ngram_pairs_ds_equivalence(docs_ds, ray_session):
     capped = ngram_jaccard_pairs_ds(
         rd.from_pandas(df), threshold=0.1, max_posting=2
     ).to_pandas()
-    assert (capped["n_capped"] > 0).any()
-    assert len(capped[capped["n_capped"] == 0]) == 0
+    assert (capped["n_oversized"] > 0).any()
+    assert len(capped[capped["n_oversized"] == 0]) == 0
 
 
 def test_verify_pairs_ds_rejects_counter_columns(docs_ds, ray_session):
@@ -648,3 +646,37 @@ def test_cc_raises_on_round_budget_exhaustion(ray_session):
     assert set(lab["cluster_id"]) == {0}  # converges with the default budget
     with pytest.raises(RuntimeError, match="did not converge"):
         neardup_clusters_distributed(rd.from_pandas(chain), max_iters=2)
+
+
+def test_driver_pair_generators_return_typed_empties(ray_session):
+    """A no-pair input (one document, one vector): every driver pair
+    generator returns int64 a/b and the skew counter attr, not pandas'
+    float64 default for an empty column."""
+    import pandas as pd
+
+    import ray.data as rd
+    from xs_vlm_ocr_ray.stages.dedup import (
+        MinHasher,
+        embedding_neardup_pairs,
+        lsh_band_rows,
+        lsh_candidate_pairs,
+        ngram_jaccard_pairs,
+        simhash_neardup_pairs,
+    )
+
+    docs = rd.from_pandas(
+        pd.DataFrame({"doc_id": [7], "text": ["one lonely document with no near duplicate"]})
+    )
+    emb = rd.from_pandas(pd.DataFrame({"vec_id": [7], "embedding": [[1.0, 0.0, 0.0]]}))
+    outs = {
+        "lsh": lsh_candidate_pairs(
+            lsh_band_rows(docs.map_batches(MinHasher(), batch_format="pyarrow"))
+        ),
+        "ngram": ngram_jaccard_pairs(docs),
+        "simhash": simhash_neardup_pairs(docs),
+        "embedding": embedding_neardup_pairs(emb),
+    }
+    for name, out in outs.items():
+        assert len(out) == 0, name
+        assert out["a"].dtype == "int64" and out["b"].dtype == "int64", name
+        assert out.attrs["n_oversized_buckets"] == 0, name

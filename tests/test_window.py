@@ -219,3 +219,28 @@ def test_drop_consecutive_null_values(ray_session):
     # keep: 0 (first, null), 2 (click after null), 4 (null after click);
     # drop: 1 (null==null), 3 (click==click, across the day boundary), 5
     assert list(got["event_id"]) == [0, 2, 4]
+
+
+def test_boundary_walk_sorts_shuffled_markers():
+    """The cross-bucket walk sorts the per-bucket markers by (ts, id)
+    itself: every arrival order of the same markers drops the same
+    bucket-first rows (the groupby promises no marker order)."""
+    import itertools
+
+    from xs_vlm_ocr_ray.stages.window import _boundary_drop_ids
+
+    # one marker per day bucket of test_drop_consecutive_cross_bucket_boundary:
+    # (first row id, first row ts, first value, last value)
+    markers = pd.DataFrame(
+        {
+            "event_id": [1, 3, 4, 6],
+            "ts": pd.to_datetime(
+                ["2024-01-01 23:50", "2024-01-02 00:05", "2024-01-03 12:00", "2024-01-04 09:00"]
+            ),
+            "event_type": ["A", "A", "A", "B"],
+            "_last_value": ["A", "A", "B", "A"],
+        }
+    )
+    for order in itertools.permutations(range(len(markers))):
+        shuffled = markers.iloc[list(order)].reset_index(drop=True)
+        assert _boundary_drop_ids(shuffled, "event_type", "ts", "event_id") == [3, 4, 6], order

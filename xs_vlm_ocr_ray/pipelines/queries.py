@@ -1163,7 +1163,7 @@ def q_doc_ngram_jaccard(sf_dir: str) -> pd.DataFrame:
     # requires that nothing was capped at this scale (a typed error,
     # not an assert — the condition is data-dependent and must survive
     # python -O)
-    if out.attrs.get("n_capped_postings", 0) != 0:
+    if out.attrs["n_oversized_buckets"] != 0:
         raise ValueError(
             "posting cap engaged - oracle comparison would be lower-bound, "
             "not exact; raise max_posting for this corpus"
@@ -1353,7 +1353,7 @@ def q_neardup_clusters(sf_dir: str) -> pd.DataFrame:
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     pairs = ngram_jaccard_pairs(docs, threshold=0.3)
-    if pairs.attrs.get("n_capped_postings", 0) != 0:
+    if pairs.attrs["n_oversized_buckets"] != 0:
         raise ValueError(
             "posting cap engaged - the uncapped SQL oracle would not be "
             "exact; raise max_posting for this corpus"

@@ -1,29 +1,50 @@
-"""Deduplication stages: exact, MinHash+LSH, SimHash, n-gram Jaccard.
+"""Deduplication stages: exact, MinHash+LSH, n-gram Jaccard, SimHash,
+embedding cosine.
 
 The exact path is the engine's restatement of the reference's
 content-hash dedup cache (SURVEY.md D1/T5/J2,
 src/ui/MainWindow.cpp:1421-1439, src/managers/HistoryManager.cpp:466-508):
 identical payloads are detected by canonical hash and computed once. At
 corpus scale this becomes the hash-keyed shuffle; near-dup variants
-(MinHash/LSH, SimHash) are the standard training-data additions.
+(MinHash/LSH, n-gram Jaccard, SimHash, embedding cosine) are the
+standard training-data additions.
+
+The pair-set contract, shared by every near-dup generator:
+
+- the RAW stage emits ``(a, b, <payload>, n_oversized)`` rows with
+  strict ``a < b``, possibly one row per bucket or band a pair shares;
+- a bucket over the generator's cap (``max_bucket`` / ``max_posting``)
+  is skipped and counted IN BAND, never silently: its counter row
+  carries ``a == b == 0`` (impossible for a real pair) and the count in
+  ``n_oversized``; real pair rows carry 0 (the skew counters are the
+  FP-Hadoop lesson: a hot key must show up in the output);
+- the Dataset form (``*_pairs_ds``) keeps one row per pair and the
+  counter rows (``_distinct_pairs_ds``); ``real_pairs_ds`` strips the
+  counter rows before the pairs are verified or clustered;
+- the driver form (query surface, small pair lists) is
+  ``collect_pairs``: the summed counter lands in
+  ``attrs['n_oversized_buckets']`` and the pairs come back distinct,
+  sorted by (a, b), with int64 ``a``/``b`` even when empty.
 
 Scale notes (100 TB design point):
 - every groupby here is preceded by a within-batch partial reduce, so
   the shuffle moves one row per key per batch, not one per input row;
 - LSH banding turns the quadratic near-dup problem into a
   ``groupby(band_id, band_hash)`` whose hot buckets are bounded by
-  ``max_bucket`` (skew guard — oversized buckets are dropped with a
-  count, never silently).
+  ``max_bucket`` (the skew guard above).
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import combinations
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
+import ray
 import ray.data as rd
 
 from .ann import round_half_away
@@ -93,9 +114,6 @@ def dedup_exact(
     ``is_in`` filter. Requires ``order_col`` values to be UNIQUE across
     rows (they identify the winners); falls back to a hash-shuffle
     semi-join when the winner set exceeds ``broadcast_limit``."""
-    import pyarrow.compute as pc
-
-    import ray
 
     def within_batch(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(order_col, kind="mergesort").drop_duplicates(key, keep="first")
@@ -163,8 +181,6 @@ def _coarse_of(keys, buckets: int):
     power of two (the key is computed with a bit mask — callers
     assert). ONE definition so a fix to the shuffle-key shape lands
     everywhere at once."""
-    import pyarrow.compute as pc
-
     assert buckets > 0 and (buckets & (buckets - 1)) == 0, buckets
     if isinstance(keys, pa.ChunkedArray):
         keys = keys.combine_chunks()
@@ -178,10 +194,264 @@ def _join_partitions(cap: int = 64) -> int:
     join schedules one aggregator ACTOR per partition, so a partition
     count above the CPU count deadlocks small clusters (observed: 64
     partitions on a 4-CPU session never schedules)."""
-    import ray
-
     cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
     return max(2, min(cap, cpus))
+
+
+# --- the pair-set contract (see the module docstring) --------------------
+
+_PAIR = pa.schema([("a", pa.int64()), ("b", pa.int64())])
+_JACCARD = pa.field("jaccard", pa.float64())
+_SIM = pa.field("sim", pa.float64())
+_SHINGLES = pa.list_(pa.uint64())
+
+
+def _empty_pairs(payload: pa.Field | None = None, counter: bool = False) -> pa.Table:
+    """Typed zero-row pair table: int64 ``a``/``b``, then ``payload``,
+    then the ``n_oversized`` counter when ``counter``."""
+    fields = [*_PAIR, *([payload] if payload is not None else [])]
+    if counter:
+        fields.append(pa.field("n_oversized", pa.int64()))
+    return pa.schema(fields).empty_table()
+
+
+def _by_coarse(
+    ds: rd.Dataset, key_col: str, coarse_buckets: int, fn, batch_format: str = "pandas"
+) -> rd.Dataset:
+    """``fn`` applied per COARSE group of ``ds``: the shuffle key is the
+    low bits of the integer ``key_col`` (``_coarse_of``), not the exact
+    bucket. Ray's ``map_groups`` pays per-group Python overhead and real
+    corpora have ~docs × bands tiny buckets, so grouping coarsely and
+    resolving the exact buckets with a vectorized groupby inside ``fn``
+    cuts the group count by orders of magnitude without changing the
+    result."""
+    assert coarse_buckets > 0 and (coarse_buckets & (coarse_buckets - 1)) == 0, (
+        f"coarse_buckets must be a power of two (got {coarse_buckets}): "
+        "the shuffle key is computed with a bit mask"
+    )
+
+    def add_coarse(t: pa.Table) -> pa.Table:
+        return t.append_column("coarse", _coarse_of(t[key_col], coarse_buckets))
+
+    return (
+        ds.map_batches(add_coarse, batch_format="pyarrow")
+        .groupby("coarse")
+        .map_groups(fn, batch_format=batch_format)
+    )
+
+
+def _all_pairs_in_buckets(
+    ds: rd.Dataset,
+    id_col: str,
+    group_cols,
+    key_col: str,
+    cap: int | None,
+    coarse_buckets: int,
+) -> rd.Dataset:
+    """Raw stage of the families that pair EVERY member of a bucket
+    (MinHash LSH bands, n-gram posting lists). Per bucket
+    (``group_cols``): the sorted distinct ids; fewer than 2 emit
+    nothing, more than ``cap`` (``None``: uncapped) are skipped and
+    counted, otherwise every i < j pair. Output (a, b, n_oversized)."""
+
+    def per_coarse(df: pd.DataFrame) -> pd.DataFrame:
+        out_a, out_b = [], []
+        n_oversized = 0
+        for _, g in df.groupby(group_cols):
+            ids = sorted(g[id_col].unique())
+            if len(ids) < 2:
+                continue
+            if cap is not None and len(ids) > cap:
+                n_oversized += 1
+                continue
+            for x, y in combinations(ids, 2):
+                out_a.append(x)
+                out_b.append(y)
+        over = [0] * len(out_a)
+        if n_oversized:
+            out_a.append(0)
+            out_b.append(0)
+            over.append(n_oversized)
+        return pd.DataFrame(
+            {
+                "a": pd.Series(out_a, dtype="int64"),
+                "b": pd.Series(out_b, dtype="int64"),
+                "n_oversized": pd.Series(over, dtype="int64"),
+            }
+        )
+
+    return _by_coarse(ds, key_col, coarse_buckets, per_coarse)
+
+
+def _distinct_pairs_ds(raw: rd.Dataset, payload: pa.Field | None = None) -> rd.Dataset:
+    """Dataset tail: one row per pair with the summed counter, by a
+    pair-keyed groupby that shuffles int64/float64 tuples only. A pair
+    found in several buckets carries the same payload each time (it is
+    a function of the pair), so Min picks it and keeps the aggregate
+    mergeable. Zero pairs leave a Ray 2.49 aggregate SCHEMA-LESS (no
+    typed empty block), so the result is materialized — only the pair
+    list — and an empty one comes back typed instead."""
+    aggs = [] if payload is None else [Min(payload.name, alias_name=payload.name)]
+    out = (
+        raw.groupby(["a", "b"])
+        .aggregate(*aggs, Sum("n_oversized", alias_name="n_oversized"))
+        .materialize()
+    )
+    return out if out.count() else rd.from_arrow(_empty_pairs(payload, counter=True))
+
+
+def collect_pairs(raw_ds: rd.Dataset, payload: pa.Field | None = None) -> pd.DataFrame:
+    """Driver tail (query surface / small pair lists): collect a raw or
+    distinct pair Dataset, sum its skew counter into
+    ``attrs['n_oversized_buckets']``, drop the counter rows, keep one
+    row per pair, sort by (a, b). Columns a, b (int64) and ``payload``
+    — typed even when empty. Deduping here rather than with the
+    Dataset tail's pair-keyed shuffle is deliberate: at query scale the
+    extra aggregate costs seconds."""
+    df = raw_ds.to_pandas()
+    if df.empty:
+        out, n_oversized = _empty_pairs(payload).to_pandas(), 0
+    else:
+        n_oversized = int(df["n_oversized"].sum())
+        out = (
+            df[df["n_oversized"] == 0][_empty_pairs(payload).column_names]
+            .drop_duplicates(["a", "b"])
+            .sort_values(["a", "b"])
+            .reset_index(drop=True)
+        )
+    out.attrs["n_oversized_buckets"] = n_oversized
+    return out
+
+
+def real_pairs_ds(pairs_ds: rd.Dataset) -> rd.Dataset:
+    """Strip the skew-counter rows (and the ``n_oversized`` column) from
+    a ``*_pairs_ds`` output, leaving the pure pair rows."""
+
+    def keep(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t["n_oversized"], 0)).drop_columns(["n_oversized"])
+
+    return pairs_ds.map_batches(keep, batch_format="pyarrow")
+
+
+def _candidate_id_array(pairs_ds: rd.Dataset) -> pa.Array:
+    """Distinct ids appearing in a pair Dataset, as a sorted int64
+    Arrow array for ``ray.put`` + ``is_in`` broadcast filters. The
+    distinct is computed DISTRIBUTED (per-batch unique → groupby);
+    only the final distinct id column lands on the driver — O(candidate
+    ids × 8 B), the same bound the n-gram path documents."""
+
+    def explode(t: pa.Table) -> pa.Table:
+        ids = pa.concat_arrays(
+            [
+                t["a"].combine_chunks().cast(pa.int64()),
+                t["b"].combine_chunks().cast(pa.int64()),
+            ]
+        )
+        return pa.table({"cid": pa.array(pd.unique(ids.to_numpy(zero_copy_only=False)), pa.int64())})
+
+    distinct = (
+        pairs_ds.map_batches(explode, batch_format="pyarrow")
+        .groupby("cid")
+        .aggregate(Count(alias_name="_n"))
+        .select_columns(["cid"])
+        .to_pandas()
+    )
+    if "cid" not in distinct.columns:  # empty pair set -> schema-less df
+        return pa.array([], pa.int64())
+    return pa.array(np.sort(distinct["cid"].to_numpy()), pa.int64())
+
+
+def _candidate_shingles(
+    docs_ds: rd.Dataset, cand_ids: pa.Array, text_col: str, id_col: str, shingle_k: int
+) -> rd.Dataset:
+    """(key, sh) rows for the CANDIDATE docs only: each doc's shingle
+    hashes as a sorted uint64 list (empty for a doc without shingles;
+    sorted → ``assume_unique`` intersects downstream). The candidate set
+    is broadcast once via ``ray.put`` into a vectorized ``is_in`` filter
+    — driver state is O(candidates), never O(corpus)."""
+    ref = ray.put(cand_ids)
+
+    def collect(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_in(t[id_col], value_set=ray.get(ref)))
+        sh = [
+            np.sort(np.fromiter(shingles(x or "", shingle_k), dtype=np.uint64))
+            for x in t[text_col].to_pylist()
+        ]
+        return pa.table({"key": t[id_col].cast(pa.int64()), "sh": pa.array(sh, _SHINGLES)})
+
+    return docs_ds.map_batches(collect, batch_format="pyarrow")
+
+
+def _candidate_set_sizes(
+    docs_ds: rd.Dataset, cand_ids: pa.Array, text_col: str, id_col: str, shingle_k: int
+) -> rd.Dataset:
+    """(key, n) rows: the shingle-set size of each candidate doc that
+    has shingles (the map fuses into ``_candidate_shingles``' task, so
+    only the counts leave it)."""
+
+    def count(t: pa.Table) -> pa.Table:
+        n = pc.list_value_length(t["sh"]).cast(pa.int64())
+        return pa.table({"key": t["key"], "n": n}).filter(pc.greater(n, 0))
+
+    return _candidate_shingles(docs_ds, cand_ids, text_col, id_col, shingle_k).map_batches(
+        count, batch_format="pyarrow"
+    )
+
+
+def _attach_attr(
+    pairs_ds: rd.Dataset,
+    attr_ds: rd.Dataset,
+    on: str,
+    carry: pa.Schema,
+    attr_col: str,
+    out: pa.Field,
+    finish=None,
+    coarse_buckets: int = 1024,
+) -> rd.Dataset:
+    """Reduce-side join: append ``attr_ds[attr_col]`` (any type, keyed
+    by ``attr_ds``'s unique int ``key`` column) to every pair row whose
+    ``on`` column matches, as column ``out``; the pair columns kept are
+    ``carry``. Attr rows and pair rows are tagged under ONE schema (each
+    side's missing columns null), unioned, grouped by a coarse key hash
+    and matched with a vectorized ``index_in`` inside each group — the
+    ``neardup_clusters_distributed`` pattern, no ``Dataset.join``. Pairs
+    whose key has no attr row are dropped (inner). ``finish`` runs on
+    each group's joined rows in the same task, so a wide joined row
+    never leaves it."""
+    fields = [*carry, out]
+    schema = pa.schema([("key", pa.int64()), ("kind", pa.int8()), *fields])
+
+    def tagged(kind: int, key, cols: dict) -> pa.Table:
+        n = len(key)
+        arrays = [
+            cols[f.name].cast(f.type) if f.name in cols else pa.nulls(n, f.type)
+            for f in fields
+        ]
+        kinds = pa.array(np.full(n, kind, dtype=np.int8))
+        return pa.Table.from_arrays([key.cast(pa.int64()), kinds, *arrays], schema=schema)
+
+    def tag_attr(t: pa.Table) -> pa.Table:
+        return tagged(0, t["key"], {out.name: t[attr_col]})
+
+    def tag_pairs(t: pa.Table) -> pa.Table:
+        return tagged(1, t[on], {f.name: t[f.name] for f in carry})
+
+    def join(t: pa.Table) -> pa.Table:
+        is_attr = pc.equal(t["kind"], 0)
+        attrs, pairs = t.filter(is_attr), t.filter(pc.invert(is_attr))
+        idx = pc.index_in(pairs["key"], value_set=attrs["key"].combine_chunks())
+        hit = pc.is_valid(idx)
+        joined = pairs.filter(hit).select(carry.names).append_column(
+            out, attrs[out.name].take(idx.filter(hit))
+        )
+        return joined if finish is None else finish(joined)
+
+    # the operator's name in Ray's logged plan: shows what runs fused
+    join.__name__ = f"attach_{out.name}" + (f"_{finish.__name__}" if finish is not None else "")
+    tagged_ds = attr_ds.map_batches(tag_attr, batch_format="pyarrow").union(
+        pairs_ds.map_batches(tag_pairs, batch_format="pyarrow")
+    )
+    return _by_coarse(tagged_ds, "key", coarse_buckets, join, batch_format="pyarrow")
 
 
 # --- MinHash + LSH near-dup ---------------------------------------------
@@ -321,87 +591,20 @@ def lsh_band_rows(
     return sig_ds.map_batches(explode, batch_format="pyarrow")
 
 
-def _lsh_pair_rows(
-    band_ds: rd.Dataset,
-    id_col: str = "doc_id",
-    max_bucket: int = 64,
-    coarse_buckets: int = 1024,
-) -> rd.Dataset:
-    """Shared head of the LSH pair generators: banded buckets →
-    per-bucket pair emission (skew-guarded), possibly one row per
-    matching band. Callers dedup — driver ``drop_duplicates``
-    (``lsh_candidate_pairs``) or a pair-keyed groupby
-    (``lsh_candidate_pairs_ds``).
-
-    The shuffle key is a COARSE hash prefix (``band_hash mod
-    coarse_buckets``), not the raw bucket: Ray's ``map_groups`` pays
-    per-group Python overhead, and real corpora have ~docs×bands tiny
-    buckets — grouping coarsely and resolving the exact buckets with a
-    vectorized pandas groupby inside each coarse group cuts the group
-    count by orders of magnitude without changing the result.
-
-    Output columns: ``a``, ``b`` (strict a < b) and ``n_oversized``
-    (skew counter rows carry a == b == 0, impossible for a real pair;
-    real pair rows carry 0)."""
-    assert coarse_buckets > 0 and (coarse_buckets & (coarse_buckets - 1)) == 0, (
-        f"coarse_buckets must be a power of two (got {coarse_buckets}): "
-        "the shuffle key is computed with a bit mask"
-    )
-
-    def add_coarse(t: pa.Table) -> pa.Table:
-        return t.append_column("coarse", _coarse_of(t["band_hash"], coarse_buckets))
-
-    def per_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        out_a, out_b = [], []
-        n_oversized = 0
-        for _, g in df.groupby(["band_id", "band_hash"]):
-            ids = sorted(g[id_col].unique())
-            if len(ids) < 2:
-                continue
-            if len(ids) > max_bucket:
-                n_oversized += 1
-                continue
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    out_a.append(ids[i])
-                    out_b.append(ids[j])
-        over = [0] * len(out_a)
-        if n_oversized:
-            out_a.append(0)
-            out_b.append(0)
-            over.append(n_oversized)
-        return pd.DataFrame(
-            {
-                "a": pd.Series(out_a, dtype="int64"),
-                "b": pd.Series(out_b, dtype="int64"),
-                "n_oversized": pd.Series(over, dtype="int64"),
-            }
-        )
-
-    return (
-        band_ds.map_batches(add_coarse, batch_format="pyarrow")
-        .groupby("coarse")
-        .map_groups(per_coarse, batch_format="pandas")
-    )
-
-
 def lsh_candidate_pairs_ds(
     band_ds: rd.Dataset,
     id_col: str = "doc_id",
     max_bucket: int = 64,
     coarse_buckets: int = 1024,
 ) -> rd.Dataset:
-    """LSH buckets → DISTINCT candidate pairs, as a Dataset — the
-    corpus-scale path (the pair list never funnels through the driver).
-    A pair matching in several bands is deduped by a pair-keyed groupby
-    that shuffles int64 triples only. Output columns: ``a``, ``b``,
-    ``n_oversized`` (see ``_lsh_pair_rows``; filter counter rows with
-    ``real_pairs_ds``)."""
-    raw = _lsh_pair_rows(
-        band_ds, id_col=id_col, max_bucket=max_bucket, coarse_buckets=coarse_buckets
-    )
-    return raw.groupby(["a", "b"]).aggregate(
-        Sum("n_oversized", alias_name="n_oversized")
+    """LSH buckets → DISTINCT candidate pairs (a, b, n_oversized), as a
+    Dataset — the corpus-scale path (the pair list never funnels through
+    the driver). A (band_id, band_hash) bucket holding more than
+    ``max_bucket`` ids is the skew-guarded case."""
+    return _distinct_pairs_ds(
+        _all_pairs_in_buckets(
+            band_ds, id_col, ["band_id", "band_hash"], "band_hash", max_bucket, coarse_buckets
+        )
     )
 
 
@@ -411,28 +614,13 @@ def lsh_candidate_pairs(
     max_bucket: int = 64,
     coarse_buckets: int = 1024,
 ) -> pd.DataFrame:
-    """Driver-side convenience wrapper (query surface / small corpora):
-    distinct (a, b) pairs as a DataFrame with the oversized-bucket count
-    in ``attrs['n_oversized_buckets']``. Shares the banded-bucket plan
-    with ``lsh_candidate_pairs_ds`` but dedups pairs driver-side — a
-    small pair list doesn't need the _ds path's pair-keyed shuffle
-    (measured: the extra aggregate costs seconds at query scale)."""
-    pairs = _lsh_pair_rows(
-        band_ds, id_col=id_col, max_bucket=max_bucket, coarse_buckets=coarse_buckets
-    ).to_pandas()
-    if pairs.empty:
-        out = pd.DataFrame({"a": [], "b": []})
-        out.attrs["n_oversized_buckets"] = 0  # the documented attr, always
-        return out
-    n_oversized = int(pairs["n_oversized"].sum())
-    pairs = (
-        pairs[pairs["n_oversized"] == 0][["a", "b"]]
-        .drop_duplicates()
-        .sort_values(["a", "b"])
-        .reset_index(drop=True)
+    """Driver-side form of ``lsh_candidate_pairs_ds`` (query surface /
+    small corpora): distinct (a, b) pairs via ``collect_pairs``."""
+    return collect_pairs(
+        _all_pairs_in_buckets(
+            band_ds, id_col, ["band_id", "band_hash"], "band_hash", max_bucket, coarse_buckets
+        )
     )
-    pairs.attrs["n_oversized_buckets"] = n_oversized
-    return pairs
 
 
 def verify_pairs_jaccard(
@@ -448,56 +636,19 @@ def verify_pairs_jaccard(
     computed distributed, then the (small) pair list is joined
     driver-side."""
     if pairs.empty:
-        return pd.DataFrame({"a": [], "b": [], "jaccard": []})
-    cand_arr = pa.array(sorted(set(pairs["a"]).union(pairs["b"])), pa.int64())
-
-    def collect(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        t = t.filter(pc.is_in(t[id_col], value_set=cand_arr))  # vectorized
-        ids, sh = [], []
-        for i, x in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            ids.append(i)
-            sh.append(list(shingles(x or "", shingle_k)))
-        return pa.table({id_col: pa.array(ids, pa.int64()), "sh": pa.array(sh, pa.list_(pa.uint64()))})
-
-    rows = docs_ds.map_batches(collect, batch_format="pyarrow").to_pandas()
-    sets = dict(zip(rows[id_col].to_numpy(), (set(s) for s in rows["sh"])))
+        return _empty_pairs(_JACCARD).to_pandas()
+    cand_ids = pa.array(sorted(set(pairs["a"]).union(pairs["b"])), pa.int64())
+    rows = _candidate_shingles(docs_ds, cand_ids, text_col, id_col, shingle_k).to_pandas()
+    sets = dict(zip(rows["key"].to_numpy(), (set(s) for s in rows["sh"])))
     empty: set = set()
     out = []
     for a, b in zip(pairs["a"].to_numpy(), pairs["b"].to_numpy()):
         j = jaccard(sets.get(a, empty), sets.get(b, empty))
         if j >= threshold:
             out.append({"a": int(a), "b": int(b), "jaccard": float(round_half_away(j, 6))})
+    if not out:
+        return _empty_pairs(_JACCARD).to_pandas()
     return pd.DataFrame(out, columns=["a", "b", "jaccard"])
-
-
-def _candidate_id_array(pairs_ds: rd.Dataset) -> pa.Array:
-    """Distinct ids appearing in a pair Dataset, as a sorted int64
-    Arrow array for ``ray.put`` + ``is_in`` broadcast filters. The
-    distinct is computed DISTRIBUTED (per-batch unique → groupby);
-    only the final distinct id column lands on the driver — O(candidate
-    ids × 8 B), the same bound the n-gram path documents."""
-
-    def explode(t: pa.Table) -> pa.Table:
-        ids = pa.concat_arrays(
-            [
-                t["a"].combine_chunks().cast(pa.int64()),
-                t["b"].combine_chunks().cast(pa.int64()),
-            ]
-        )
-        return pa.table({"cid": pa.array(pd.unique(ids.to_numpy(zero_copy_only=False)), pa.int64())})
-
-    distinct = (
-        pairs_ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("cid")
-        .aggregate(Count(alias_name="_n"))
-        .select_columns(["cid"])
-        .to_pandas()
-    )
-    if "cid" not in distinct.columns:  # empty pair set -> schema-less df
-        return pa.array([], pa.int64())
-    return pa.array(np.sort(distinct["cid"].to_numpy()), pa.int64())
 
 
 def verify_pairs_jaccard_ds(
@@ -511,21 +662,18 @@ def verify_pairs_jaccard_ds(
 ) -> rd.Dataset:
     """Exact Jaccard verification of candidate pairs, Dataset-native —
     the corpus-scale path (``verify_pairs_jaccard`` is the driver-side
-    wrapper; at 100 TB the per-candidate shingle SETS must never live in
+    form; at 100 TB the per-candidate shingle SETS must never live in
     one driver dict).
 
     Plan: candidate ids (ints only) broadcast into an ``is_in`` filter →
-    per-candidate shingle lists computed distributed → two tagged
-    REDUCE-SIDE joins (the ``neardup_clusters_distributed`` pattern:
-    shingle rows and pair rows unioned under one schema, grouped by a
-    coarse key-hash, resolved with a vectorized pandas merge inside each
-    bucket — no ``Dataset.join``) deliver each pair its two shingle
-    lists; the exact Jaccard is computed inside the second join's
-    groups, so the widest intermediate (pair + both lists) never leaves
-    its reduce task.
+    per-candidate sorted shingle arrays computed distributed → two
+    reduce-side joins (``_attach_attr``) deliver each pair its two
+    shingle arrays; the exact Jaccard is computed inside the second
+    join's task, so the widest intermediate (pair + both arrays) never
+    leaves it.
 
     Semantics match ``verify_pairs_jaccard`` with one edge: a pair
-    whose id has NO row in ``docs_ds`` is dropped by the inner merge
+    whose id has NO row in ``docs_ds`` is dropped by the inner join
     (the driver path scores a missing doc as an empty set). Pairs
     produced from ``docs_ds`` itself — the only supported lineage —
     never hit this; a caller feeding pairs from a DIFFERENT lineage is
@@ -535,153 +683,42 @@ def verify_pairs_jaccard_ds(
     pass unnoticed (ADVICE r3). Both-empty shingle sets score 1.0,
     one-empty 0.0, exactly like ``functions.textstats.jaccard``.
 
-    Input ``pairs_ds`` columns: ``a``, ``b`` (strict a < b; filter any
-    ``n_oversized`` counter rows first — see ``real_pairs_ds``).
-    Output: (a, b, jaccard) rows with jaccard ≥ threshold, rounded 6.
+    Input: real pair rows (a, b) — counter rows stripped with
+    ``real_pairs_ds``. Output: (a, b, jaccard) rows with jaccard ≥
+    threshold, rounded 6.
     """
-    import pyarrow.compute as pc
-
-    import ray
-
-    assert coarse_buckets > 0 and (coarse_buckets & (coarse_buckets - 1)) == 0
     pairs_ds = pairs_ds.materialize()  # consumed twice: id scan + join
     schema = pairs_ds.schema()  # None for a schema-less empty dataset
-    bad = {"n_oversized", "n_capped"} & set(schema.names if schema else [])
-    if bad:
+    if schema is not None and "n_oversized" in schema.names:
         # fail fast: a raw *_pairs_ds output still carries skew-counter
         # rows (a == b == 0), which would join doc 0's shingles with
         # themselves and emit a bogus verified (0, 0, 1.0) pair
         raise ValueError(
-            f"pairs_ds carries counter column(s) {sorted(bad)}; strip "
-            "them first with real_pairs_ds(...)"
+            "pairs_ds carries the n_oversized counter column; strip the "
+            "counter rows first with real_pairs_ds(...)"
         )
     if pairs_ds.count() == 0:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "a": pa.array([], pa.int64()),
-                    "b": pa.array([], pa.int64()),
-                    "jaccard": pa.array([], pa.float64()),
-                }
-            )
-        )
+        return rd.from_arrow(_empty_pairs(_JACCARD))
     cand_ids = _candidate_id_array(pairs_ds)
-    cand_ref = ray.put(cand_ids)
-
-    def collect(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t[id_col], value_set=ray.get(cand_ref)))
-        ids, sh = [], []
-        for i, x in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            ids.append(i)
-            # sorted array → assume_unique intersect downstream
-            sh.append(np.sort(np.fromiter(shingles(x or "", shingle_k), dtype=np.uint64)))
-        return pa.table(
-            {"key": pa.array(ids, pa.int64()), "sh": pa.array(sh, pa.list_(pa.uint64()))}
-        )
-
-    sh_ds = docs_ds.map_batches(collect, batch_format="pyarrow").materialize()
+    sh_ds = _candidate_shingles(docs_ds, cand_ids, text_col, id_col, shingle_k).materialize()
 
     # lineage guard: ids unique per the supported contract, so the
     # materialized shingle-row count IS the number of candidate ids
     # found in docs_ds; any shortfall means the caller's pairs reference
-    # docs outside this dataset and those pairs will drop at the merge
+    # docs outside this dataset and those pairs will drop at the join
     n_missing = len(cand_ids) - sh_ds.count()
     if n_missing > 0:
         import logging
 
         logging.getLogger(__name__).warning(
             "verify_pairs_jaccard_ds: %d candidate id(s) have no row in "
-            "docs_ds; every pair touching them is dropped (inner merge). "
+            "docs_ds; every pair touching them is dropped (inner join). "
             "Feed pairs generated from this docs_ds lineage.",
             n_missing,
         )
 
-    sh_t = pa.list_(pa.uint64())
-
-
-    # ---- pass A: deliver sh(a) to each pair --------------------------
-    def tag_sh_a(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        z = pa.array(np.zeros(n, dtype=np.int64))
-        return pa.table(
-            {
-                "key": t["key"],
-                "coarse": _coarse_of(t["key"], coarse_buckets),
-                "kind": pa.array(np.zeros(n, dtype=np.int8)),
-                "a": z,
-                "b": z,
-                "sh": t["sh"],
-            }
-        )
-
-    def tag_pairs_a(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        key = t["a"].combine_chunks().cast(pa.int64())
-        return pa.table(
-            {
-                "key": key,
-                "coarse": _coarse_of(key, coarse_buckets),
-                "kind": pa.array(np.ones(n, dtype=np.int8)),
-                "a": key,
-                "b": t["b"].combine_chunks().cast(pa.int64()),
-                "sh": pa.array([None] * n, sh_t),
-            }
-        )
-
-    def join_a(df: pd.DataFrame) -> pa.Table:
-        lab = df[df["kind"] == 0][["key", "sh"]]
-        prs = df[df["kind"] == 1][["key", "a", "b"]]
-        m = prs.merge(lab, on="key", how="inner")
-        return pa.table(
-            {
-                "a": pa.array(m["a"].to_numpy(dtype=np.int64, na_value=0), pa.int64()),
-                "b": pa.array(m["b"].to_numpy(dtype=np.int64, na_value=0), pa.int64()),
-                "sh_a": pa.array(list(m["sh"]), sh_t),
-            }
-        )
-
-    with_a = (
-        sh_ds.map_batches(tag_sh_a, batch_format="pyarrow")
-        .union(pairs_ds.map_batches(tag_pairs_a, batch_format="pyarrow"))
-        .groupby("coarse")
-        .map_groups(join_a, batch_format="pandas")
-    )
-
-    # ---- pass B: deliver sh(b), score inside the reduce task ---------
-    def tag_sh_b(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        z = pa.array(np.zeros(n, dtype=np.int64))
-        return pa.table(
-            {
-                "key": t["key"],
-                "coarse": _coarse_of(t["key"], coarse_buckets),
-                "kind": pa.array(np.zeros(n, dtype=np.int8)),
-                "a": z,
-                "b": z,
-                "sh_a": pa.array([None] * n, sh_t),
-                "sh_b": t["sh"],
-            }
-        )
-
-    def tag_pairs_b(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        key = t["b"].combine_chunks().cast(pa.int64())
-        return pa.table(
-            {
-                "key": key,
-                "coarse": _coarse_of(key, coarse_buckets),
-                "kind": pa.array(np.ones(n, dtype=np.int8)),
-                "a": t["a"].combine_chunks().cast(pa.int64()),
-                "b": key,
-                "sh_a": t["sh_a"],
-                "sh_b": pa.array([None] * n, sh_t),
-            }
-        )
-
-    def join_b_score(df: pd.DataFrame) -> pa.Table:
-        lab = df[df["kind"] == 0][["key", "sh_b"]]
-        prs = df[df["kind"] == 1][["key", "a", "b", "sh_a"]]
-        m = prs.merge(lab, on="key", how="inner")
+    def score(t: pa.Table) -> pa.Table:
+        m = t.to_pandas()
         out_a: list[int] = []
         out_b: list[int] = []
         out_j: list[float] = []
@@ -710,206 +747,14 @@ def verify_pairs_jaccard_ds(
             }
         )
 
-    return (
-        sh_ds.map_batches(tag_sh_b, batch_format="pyarrow")
-        .union(with_a.map_batches(tag_pairs_b, batch_format="pyarrow"))
-        .groupby("coarse")
-        .map_groups(join_b_score, batch_format="pandas")
+    sh_a = pa.field("sh_a", _SHINGLES)
+    with_a = _attach_attr(
+        pairs_ds, sh_ds, "a", _PAIR, "sh", sh_a, coarse_buckets=coarse_buckets
     )
-
-
-def real_pairs_ds(pairs_ds: rd.Dataset, counter_col: str = "n_oversized") -> rd.Dataset:
-    """Strip skew-counter rows (and the counter column) from a
-    ``*_pairs_ds`` output (``lsh_candidate_pairs_ds`` /
-    ``ngram_jaccard_pairs_ds``), leaving the pure pair rows."""
-    import pyarrow.compute as pc
-
-    def keep(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t[counter_col], pa.scalar(0, t[counter_col].type)))
-        return t.drop_columns([counter_col])
-
-    return pairs_ds.map_batches(keep, batch_format="pyarrow")
-
-
-def _attach_int_attr(
-    pairs_ds: rd.Dataset,
-    attr_ds: rd.Dataset,
-    on: str,
-    carry: tuple[str, ...],
-    attr_col: str,
-    out_col: str,
-    coarse_buckets: int = 1024,
-) -> rd.Dataset:
-    """Reduce-side join for int64 payloads: append ``attr_ds``'s
-    ``attr_col`` (keyed by its ``key`` column) to pair rows matching
-    ``pairs_ds[on]``, as ``out_col``. Same tagged-union + coarse-bucket
-    groupby shape as ``verify_pairs_jaccard_ds`` (no ``Dataset.join``);
-    pairs whose key is absent from ``attr_ds`` are dropped (inner)."""
-    import pyarrow.compute as pc
-
-    assert coarse_buckets > 0 and (coarse_buckets & (coarse_buckets - 1)) == 0
-
-
-    def tag_attr(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        key = t["key"].combine_chunks().cast(pa.int64())
-        cols = {
-            "key": key,
-            "coarse": _coarse_of(key, coarse_buckets),
-            "kind": pa.array(np.zeros(n, dtype=np.int8)),
-        }
-        z = pa.array(np.zeros(n, dtype=np.int64))
-        for c in carry:
-            cols[c] = z
-        cols[out_col] = t[attr_col].combine_chunks().cast(pa.int64())
-        return pa.table(cols)
-
-    def tag_pairs(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        key = t[on].combine_chunks().cast(pa.int64())
-        cols = {
-            "key": key,
-            "coarse": _coarse_of(key, coarse_buckets),
-            "kind": pa.array(np.ones(n, dtype=np.int8)),
-        }
-        for c in carry:
-            cols[c] = t[c].combine_chunks().cast(pa.int64())
-        cols[out_col] = pa.array(np.zeros(n, dtype=np.int64))
-        return pa.table(cols)
-
-    def join_group(df: pd.DataFrame) -> pa.Table:
-        lab = df[df["kind"] == 0][["key", out_col]]
-        prs = df[df["kind"] == 1][["key", *carry]]
-        m = prs.merge(lab, on="key", how="inner")
-        cols = {
-            c: pa.array(m[c].to_numpy(dtype=np.int64, na_value=0), pa.int64())
-            for c in (*carry, out_col)
-        }
-        return pa.table(cols)
-
-    return (
-        attr_ds.map_batches(tag_attr, batch_format="pyarrow")
-        .union(pairs_ds.map_batches(tag_pairs, batch_format="pyarrow"))
-        .groupby("coarse")
-        .map_groups(join_group, batch_format="pandas")
+    return _attach_attr(
+        with_a, sh_ds, "b", _PAIR.append(sh_a), "sh", pa.field("sh_b", _SHINGLES),
+        finish=score, coarse_buckets=coarse_buckets,
     )
-
-
-def simhash_neardup_pairs_ds(
-    docs_ds: rd.Dataset,
-    max_hamming: int = 3,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-) -> rd.Dataset:
-    """Dataset-native ``simhash_neardup_pairs`` (same exact pigeonhole
-    plan); distinct pairs via a pair-keyed groupby (a pair can match in
-    more than one band) — int64 triples only, never driver-side.
-    Output columns: (a, b, hamming, n_oversized) — strip the skew
-    counter rows with ``real_pairs_ds(...)``."""
-    return (
-        _simhash_banded_pairs(
-            docs_ds, max_hamming=max_hamming, text_col=text_col, id_col=id_col
-        )
-        .groupby(["a", "b"])
-        .aggregate(
-            Min("hamming", alias_name="hamming"),
-            Sum("n_oversized", alias_name="n_oversized"),
-        )
-    )
-
-
-def ngram_jaccard_pairs_ds(
-    docs_ds: rd.Dataset,
-    threshold: float = 0.3,
-    shingle_k: int = 5,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    max_posting: int | None = 1024,
-) -> rd.Dataset:
-    """Dataset-native ``ngram_jaccard_pairs`` — the corpus-scale tail:
-    the intersection counts stay a Dataset, per-doc shingle-set sizes
-    are delivered to pair rows by two reduce-side int joins
-    (``_attach_int_attr``), and the Jaccard filter is a vectorized map.
-    Output columns: (a, b, jaccard, n_capped) — capped-posting counter
-    rows carry a == b == 0 with the count in ``n_capped`` (real rows
-    carry 0; strip with ``real_pairs_ds(..., counter_col="n_capped")``).
-    Cap semantics as in ``ngram_jaccard_pairs`` (precision-preserving
-    lower bound)."""
-    import pyarrow.compute as pc
-
-    inter = _ngram_intersection_ds(
-        docs_ds, shingle_k=shingle_k, text_col=text_col, id_col=id_col,
-        max_posting=max_posting,
-    ).materialize()
-
-    def counters(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["n_capped"], 0))
-        n = t.num_rows
-        return pa.table(
-            {
-                "a": pa.array(np.zeros(n, dtype=np.int64)),
-                "b": pa.array(np.zeros(n, dtype=np.int64)),
-                "jaccard": pa.array(np.zeros(n, dtype=np.float64)),
-                "n_capped": pc.cast(t["n_capped"], pa.int64()),
-            }
-        )
-
-    counter_rows = inter.map_batches(counters, batch_format="pyarrow")
-    real = inter.map_batches(
-        lambda t: t.filter(pc.equal(t["n_capped"], 0)).drop_columns(["n_capped"]),
-        batch_format="pyarrow",
-    ).materialize()
-    if real.count() == 0:
-        # nothing survived the cap (or no candidates at all): counter
-        # rows only, under the full output schema
-        empty = rd.from_arrow(
-            pa.table(
-                {
-                    "a": pa.array([], pa.int64()),
-                    "b": pa.array([], pa.int64()),
-                    "jaccard": pa.array([], pa.float64()),
-                    "n_capped": pa.array([], pa.int64()),
-                }
-            )
-        )
-        return empty.union(counter_rows)
-
-    # per-doc set sizes for candidate ids only (broadcast int filter)
-    import ray
-
-    cand_ref = ray.put(_candidate_id_array(real))
-
-    def size_rows(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t[id_col], value_set=ray.get(cand_ref)))
-        ids, ns = [], []
-        for i, x in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            ss = shingles(x or "", shingle_k)
-            if ss:
-                ids.append(i)
-                ns.append(len(ss))
-        return pa.table({"key": pa.array(ids, pa.int64()), "n": pa.array(ns, pa.int64())})
-
-    sizes = docs_ds.map_batches(size_rows, batch_format="pyarrow").materialize()
-    with_na = _attach_int_attr(real, sizes, on="a", carry=("a", "b", "i"), attr_col="n", out_col="n_a")
-    with_nb = _attach_int_attr(with_na, sizes, on="b", carry=("a", "b", "i", "n_a"), attr_col="n", out_col="n_b")
-
-    def score(t: pa.Table) -> pa.Table:
-        i = t["i"].to_numpy(zero_copy_only=False).astype(np.float64)
-        na = t["n_a"].to_numpy(zero_copy_only=False).astype(np.float64)
-        nb = t["n_b"].to_numpy(zero_copy_only=False).astype(np.float64)
-        j = round_half_away(i / (na + nb - i), 6)
-        keep = j >= threshold
-        n = int(keep.sum())
-        return pa.table(
-            {
-                "a": t["a"].filter(pa.array(keep)),
-                "b": t["b"].filter(pa.array(keep)),
-                "jaccard": pa.array(j[keep], pa.float64()),
-                "n_capped": pa.array(np.zeros(n, dtype=np.int64)),
-            }
-        )
-
-    return with_nb.map_batches(score, batch_format="pyarrow").union(counter_rows)
 
 
 # --- n-gram Jaccard near-dup (inverted shingle index) --------------------
@@ -923,14 +768,12 @@ def _ngram_intersection_ds(
     max_posting: int | None = 1024,
 ) -> rd.Dataset:
     """Shared head of the n-gram Jaccard generators: inverted shingle
-    index → per-posting pair emission (skew-capped) → pair-keyed
-    intersection counts. Output columns: (a, b, i, n_capped) — capped
-    counter rows carry a == b == 0."""
+    index → per-posting pair emission (skew-capped at ``max_posting``)
+    → pair-keyed intersection counts. Output (a, b, i, n_oversized)."""
 
     def explode(t: pa.Table) -> pa.Table:
         ids_out: list[int] = []
         sh_out: list[int] = []
-        sizes_id: list[int] = []
         for i, x in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
             ss = shingles(x or "", shingle_k)
             if not ss:
@@ -945,49 +788,11 @@ def _ngram_intersection_ds(
         )
 
     postings = docs_ds.map_batches(explode, batch_format="pyarrow")
-
-    def add_coarse(t: pa.Table) -> pa.Table:
-        return t.append_column("coarse", _coarse_of(t["sh"], 4096))
-
-    def pairs_per_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        # coarse shuffle key (sh % 4096) + vectorized inner groupby:
-        # a corpus has ~docs × shingles distinct posting lists, far too
-        # many for per-group map_groups overhead
-        out_a, out_b = [], []
-        n_capped = 0
-        for _, g in df.groupby("sh"):
-            ids = sorted(g[id_col].unique())
-            if len(ids) < 2:
-                continue
-            if max_posting is not None and len(ids) > max_posting:
-                n_capped += 1
-                continue
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    out_a.append(ids[i])
-                    out_b.append(ids[j])
-        capped = [0] * len(out_a)
-        if n_capped:
-            # skew counter in a dedicated column; a == b == 0 is
-            # impossible for a real pair (strict a < b)
-            out_a.append(0)
-            out_b.append(0)
-            capped.append(n_capped)
-        return pd.DataFrame(
-            {
-                "a": pd.Series(out_a, dtype="int64"),
-                "b": pd.Series(out_b, dtype="int64"),
-                "n_capped": pd.Series(capped, dtype="int64"),
-            }
-        )
-
-    pair_rows = (
-        postings.map_batches(add_coarse, batch_format="pyarrow")
-        .groupby("coarse")
-        .map_groups(pairs_per_coarse, batch_format="pandas")
-    )
+    # a corpus has ~docs × shingles distinct posting lists: 4096 coarse
+    # groups, each resolved by a vectorized groupby on the shingle
+    pair_rows = _all_pairs_in_buckets(postings, id_col, "sh", "sh", max_posting, 4096)
     return pair_rows.groupby(["a", "b"]).aggregate(
-        Count(alias_name="i"), Sum("n_capped", alias_name="n_capped")
+        Count(alias_name="i"), Sum("n_oversized", alias_name="n_oversized")
     )
 
 
@@ -1012,7 +817,7 @@ def ngram_jaccard_pairs(
     ``max_posting`` frequency-caps hot shingles (a stopword shingle
     shared by p docs would otherwise generate O(p²) pairs) — the
     standard skew guard, ON by default (1024). Capped posting lists are
-    counted in-band and surfaced as ``attrs['n_capped_postings']`` —
+    counted in band and surfaced as ``attrs['n_oversized_buckets']`` —
     never silently.
 
     Cap semantics (precision-preserving lower bound): a capped shingle
@@ -1020,54 +825,99 @@ def ngram_jaccard_pairs(
     ``jaccard`` is ≤ the true value — a reported pair always truly
     meets the threshold (no false positives), but a pair whose
     qualifying overlap runs through capped shingles can be missed or
-    under-scored. With ``n_capped_postings == 0`` the result is exact.
+    under-scored. With ``n_oversized_buckets == 0`` the result is exact.
     Pass ``max_posting=None`` to force exactness regardless of skew
     (unsafe at corpus scale: one hot shingle → quadratic pairs).
     """
-    inter = _ngram_intersection_ds(
-        docs_ds, shingle_k=shingle_k, text_col=text_col, id_col=id_col,
-        max_posting=max_posting,
-    ).to_pandas()
-    n_capped_postings = int(inter["n_capped"].sum()) if len(inter) else 0
-    inter = inter[inter["n_capped"] == 0]
+    inter = collect_pairs(
+        _ngram_intersection_ds(
+            docs_ds, shingle_k=shingle_k, text_col=text_col, id_col=id_col,
+            max_posting=max_posting,
+        ),
+        pa.field("i", pa.int64()),
+    )
+    n_oversized = inter.attrs["n_oversized_buckets"]
     if inter.empty:
-        out = pd.DataFrame({"a": [], "b": [], "jaccard": []})
-        out.attrs["n_capped_postings"] = n_capped_postings
+        out = _empty_pairs(_JACCARD).to_pandas()
+        out.attrs["n_oversized_buckets"] = n_oversized
         return out
 
-    # per-doc set sizes for CANDIDATE ids only: the candidate set is
-    # broadcast (closure-captured Arrow array) and applied as a
-    # vectorized is_in filter — driver state is O(candidates), never
-    # O(corpus)
-    cand_ids = pa.array(
-        sorted(set(inter["a"]).union(inter["b"])), pa.int64()
-    )
-
-    def size_partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        t = t.filter(pc.is_in(t[id_col], value_set=cand_ids))
-        ids, ns = [], []
-        for i, x in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            ss = shingles(x or "", shingle_k)
-            if ss:
-                ids.append(i)
-                ns.append(len(ss))
-        return pa.table({id_col: pa.array(ids, pa.int64()), "n": pa.array(ns, pa.int64())})
-
+    cand_ids = pa.array(sorted(set(inter["a"]).union(inter["b"])), pa.int64())
     sizes = (
-        docs_ds.map_batches(size_partial, batch_format="pyarrow")
+        _candidate_set_sizes(docs_ds, cand_ids, text_col, id_col, shingle_k)
         .to_pandas()
-        .set_index(id_col)["n"]
+        .set_index("key")["n"]
     )
     inter["jaccard"] = round_half_away(
         inter["i"] / (sizes.loc[inter["a"]].to_numpy() + sizes.loc[inter["b"]].to_numpy() - inter["i"]),
         6,
     )
-    out = inter[inter["jaccard"] >= threshold][["a", "b", "jaccard"]]
-    out = out.sort_values(["a", "b"]).reset_index(drop=True)
-    out.attrs["n_capped_postings"] = n_capped_postings
+    out = inter[inter["jaccard"] >= threshold][["a", "b", "jaccard"]].reset_index(drop=True)
+    out.attrs["n_oversized_buckets"] = n_oversized
     return out
+
+
+def ngram_jaccard_pairs_ds(
+    docs_ds: rd.Dataset,
+    threshold: float = 0.3,
+    shingle_k: int = 5,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+    max_posting: int | None = 1024,
+) -> rd.Dataset:
+    """Dataset-native ``ngram_jaccard_pairs`` — the corpus-scale tail:
+    the intersection counts stay a Dataset, per-doc shingle-set sizes
+    are delivered to pair rows by two reduce-side joins
+    (``_attach_attr``), and the Jaccard filter runs inside the second
+    join's task. Output (a, b, jaccard, n_oversized); cap semantics as
+    in ``ngram_jaccard_pairs`` (precision-preserving lower bound)."""
+    inter = _ngram_intersection_ds(
+        docs_ds, shingle_k=shingle_k, text_col=text_col, id_col=id_col,
+        max_posting=max_posting,
+    ).materialize()
+
+    def counters(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.greater(t["n_oversized"], 0))
+        return pa.table(
+            {
+                "a": t["a"],
+                "b": t["b"],
+                "jaccard": pa.array(np.zeros(t.num_rows, dtype=np.float64)),
+                "n_oversized": t["n_oversized"],
+            }
+        )
+
+    counter_rows = inter.map_batches(counters, batch_format="pyarrow")
+    real = real_pairs_ds(inter).materialize()
+    if real.count() == 0:
+        # nothing survived the cap (or no candidates at all): counter
+        # rows only, under the full output schema
+        return rd.from_arrow(_empty_pairs(_JACCARD, counter=True)).union(counter_rows)
+
+    def score(t: pa.Table) -> pa.Table:
+        i = t["i"].to_numpy().astype(np.float64)
+        na = t["n_a"].to_numpy().astype(np.float64)
+        nb = t["n_b"].to_numpy().astype(np.float64)
+        j = round_half_away(i / (na + nb - i), 6)
+        keep = j >= threshold
+        return pa.table(
+            {
+                "a": t["a"].filter(pa.array(keep)),
+                "b": t["b"].filter(pa.array(keep)),
+                "jaccard": pa.array(j[keep], pa.float64()),
+                "n_oversized": pa.array(np.zeros(int(keep.sum()), dtype=np.int64)),
+            }
+        )
+
+    sizes = _candidate_set_sizes(
+        docs_ds, _candidate_id_array(real), text_col, id_col, shingle_k
+    ).materialize()
+    carry = _PAIR.append(pa.field("i", pa.int64()))
+    n_a = pa.field("n_a", pa.int64())
+    with_na = _attach_attr(real, sizes, "a", carry, "n", n_a)
+    return _attach_attr(
+        with_na, sizes, "b", carry.append(n_a), "n", pa.field("n_b", pa.int64()), finish=score
+    ).union(counter_rows)
 
 
 # --- SimHash -------------------------------------------------------------
@@ -1174,17 +1024,14 @@ def _simhash_banded_pairs(
     id_col: str = "doc_id",
     max_bucket: int = 256,
 ) -> rd.Dataset:
-    """Shared pigeonhole plan for the SimHash pair generators: banded
+    """Raw stage of the SimHash generators (pigeonhole plan): banded
     explode → coarse-bucket groupby → exact popcount verify. Emits
-    (a, b, hamming, n_oversized) rows, possibly one per matching band —
-    callers dedup (driver ``drop_duplicates`` or pair-keyed groupby).
+    (a, b, hamming, n_oversized) rows, possibly one per matching band.
 
-    ``max_bucket`` is the skew guard the LSH/ngram paths already have:
-    a (band_id, band_val) bucket larger than the cap (e.g. millions of
-    empty/boilerplate-identical docs, all simhash 0 → every band
-    bucket holds all of them → O(bucket²) pairs in ONE reduce task) is
-    skipped and counted IN BAND — counter rows carry a == b == 0 with
-    the count in ``n_oversized``; real pair rows carry 0."""
+    ``max_bucket`` is the skew guard: a (band_id, band_val) bucket
+    larger than the cap (e.g. millions of empty/boilerplate-identical
+    docs, all simhash 0 → every band bucket holds all of them →
+    O(bucket²) pairs in ONE reduce task) is skipped and counted."""
     bands = max_hamming + 1
     width = 64 // bands
 
@@ -1213,14 +1060,7 @@ def _simhash_banded_pairs(
             }
         )
 
-    banded = sig.map_batches(explode, batch_format="pyarrow")
-
-    def add_coarse(t: pa.Table) -> pa.Table:
-        return t.append_column("coarse", _coarse_of(t["band_val"], 1024))
-
     def pairs_per_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        # coarse shuffle key + vectorized inner groupby (see
-        # lsh_candidate_pairs for rationale)
         out = []
         n_oversized = 0
         for _, g in df.groupby(["band_id", "band_val"]):
@@ -1245,10 +1085,21 @@ def _simhash_banded_pairs(
             {"a": "int64", "b": "int64", "hamming": "int64", "n_oversized": "int64"}
         )
 
-    return (
-        banded.map_batches(add_coarse, batch_format="pyarrow")
-        .groupby("coarse")
-        .map_groups(pairs_per_coarse, batch_format="pandas")
+    banded = sig.map_batches(explode, batch_format="pyarrow")
+    return _by_coarse(banded, "band_val", 1024, pairs_per_coarse)
+
+
+def simhash_neardup_pairs_ds(
+    docs_ds: rd.Dataset,
+    max_hamming: int = 3,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+) -> rd.Dataset:
+    """Dataset-native ``simhash_neardup_pairs`` (same exact pigeonhole
+    plan): (a, b, hamming, n_oversized), never driver-side."""
+    return _distinct_pairs_ds(
+        _simhash_banded_pairs(docs_ds, max_hamming=max_hamming, text_col=text_col, id_col=id_col),
+        pa.field("hamming", pa.int64()),
     )
 
 
@@ -1265,28 +1116,10 @@ def simhash_neardup_pairs(
     band_value)`` generates ALL qualifying candidates; an exact popcount
     verifies each. No quadratic scan, no missed pairs. Driver-side
     result (``simhash_neardup_pairs_ds`` is the corpus-scale path)."""
-    pairs = _simhash_banded_pairs(
-        docs_ds, max_hamming=max_hamming, text_col=text_col, id_col=id_col
-    ).to_pandas()
-    empty = pd.DataFrame(
-        {
-            "a": pd.Series([], dtype="int64"),
-            "b": pd.Series([], dtype="int64"),
-            "hamming": pd.Series([], dtype="int64"),
-        }
+    return collect_pairs(
+        _simhash_banded_pairs(docs_ds, max_hamming=max_hamming, text_col=text_col, id_col=id_col),
+        pa.field("hamming", pa.int64()),
     )
-    empty.attrs["n_oversized_buckets"] = 0
-    if pairs.empty:
-        return empty
-    n_oversized = int(pairs["n_oversized"].sum())
-    out = (
-        pairs[pairs["n_oversized"] == 0][["a", "b", "hamming"]]
-        .drop_duplicates(["a", "b"])  # a pair can match in >1 band
-        .sort_values(["a", "b"])
-        .reset_index(drop=True)
-    )
-    out.attrs["n_oversized_buckets"] = n_oversized
-    return out
 
 
 # --- embedding-cosine near-dup ------------------------------------------
@@ -1301,11 +1134,8 @@ def embedding_neardup_pairs_ds(
 ) -> rd.Dataset:
     """Embedding-cosine near-dup pairs ≥ threshold, as a Dataset — the
     corpus-scale path (``embedding_neardup_pairs`` is the driver-side
-    query wrapper). Output columns: (a, b, sim, n_oversized) — the
-    bucketed route's skew-counter rows ride in band like every other
-    pair family; strip them with ``real_pairs_ds(...)`` before feeding
-    ``drop_neardups_ds``, so a near-dup-rich corpus's pair list never
-    funnels through the driver (the brute route's column is constant 0).
+    form). Output (a, b, sim, n_oversized); only the bucketed route can
+    skip a bucket, the brute route's counter is constant 0.
 
     Brute-force route (EXACT, default below ``max_rows_bruteforce``
     rows): the normalized matrix is ``ray.put`` ONCE into the object
@@ -1321,8 +1151,6 @@ def embedding_neardup_pairs_ds(
     (approximate overall — cross-bucket pairs are missed with the usual
     LSH probability; see ann.lsh_bucket_ids); a pair found in several
     buckets is deduped by a pair-keyed groupby over int64 triples."""
-    import ray
-
     # checkpoint once so the size probe and the pair pass share ONE
     # execution of whatever upstream computed the embeddings (count()
     # on a lazy dataset would run the pipeline, then the pair pass
@@ -1335,16 +1163,7 @@ def embedding_neardup_pairs_ds(
         )
     if n == 0:
         # typed empty — np.stack on zero rows would raise
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "a": pa.array([], pa.int64()),
-                    "b": pa.array([], pa.int64()),
-                    "sim": pa.array([], pa.float64()),
-                    "n_oversized": pa.array([], pa.int64()),
-                }
-            )
-        )
+        return rd.from_arrow(_empty_pairs(_SIM, counter=True))
 
     # bounded driver assembly (≤ max_rows_bruteforce rows by the route
     # condition): ids + flat matrix, immediately ray.put
@@ -1385,28 +1204,19 @@ def embedding_neardup_pairs(
     id_col: str = "vec_id",
     max_rows_bruteforce: int = 500_000,
 ) -> pd.DataFrame:
-    """Driver-side convenience wrapper over
-    ``embedding_neardup_pairs_ds`` (query surface / small pair lists):
-    the same routed plan, collected and sorted on the driver."""
-    out = embedding_neardup_pairs_ds(
-        emb_ds,
-        threshold=threshold,
-        vec_col=vec_col,
-        id_col=id_col,
-        max_rows_bruteforce=max_rows_bruteforce,
-    ).to_pandas()
-    if out.empty:
-        empty = pd.DataFrame({"a": [], "b": [], "sim": []})
-        empty.attrs["n_oversized_buckets"] = 0
-        return empty
-    n_oversized = int(out["n_oversized"].sum())
-    out = (
-        out[out["n_oversized"] == 0][["a", "b", "sim"]]
-        .sort_values(["a", "b"])
-        .reset_index(drop=True)
+    """Driver-side form of ``embedding_neardup_pairs_ds`` (query
+    surface / small pair lists): the same routed plan, collected by
+    ``collect_pairs``."""
+    return collect_pairs(
+        embedding_neardup_pairs_ds(
+            emb_ds,
+            threshold=threshold,
+            vec_col=vec_col,
+            id_col=id_col,
+            max_rows_bruteforce=max_rows_bruteforce,
+        ),
+        _SIM,
     )
-    out.attrs["n_oversized_buckets"] = n_oversized
-    return out
 
 
 def _embedding_neardup_bucketed_ds(
@@ -1429,15 +1239,11 @@ def _embedding_neardup_bucketed_ds(
     rows, where low-entropy embeddings can concentrate millions of rows
     into one hyperplane bucket — an unguarded ``m @ m.T`` there is an
     n² float64 allocation in a single task): oversized buckets are
-    skipped and counted IN BAND (counter rows a == b == 0 with the
-    count in ``n_oversized``; real rows carry 0). 4096² × 8 B = 128 MB
-    transient per bucket, the same slab budget the MinHash path uses."""
+    skipped and counted. 4096² × 8 B = 128 MB transient per bucket, the
+    same slab budget the MinHash path uses."""
     from .ann import lsh_bucket_ids
 
     with_buckets = lsh_bucket_ids(emb_ds, num_planes=num_planes, vec_col=vec_col)
-
-    def add_coarse(t: pa.Table) -> pa.Table:
-        return t.append_column("coarse", _coarse_of(t["bucket"], coarse_buckets))
 
     def per_coarse(df: pd.DataFrame) -> pd.DataFrame:
         out_frames = []
@@ -1473,48 +1279,14 @@ def _embedding_neardup_bucketed_ds(
                 )
             )
         if not out_frames:
-            return pd.DataFrame(
-                {
-                    "a": pd.Series([], dtype="int64"),
-                    "b": pd.Series([], dtype="int64"),
-                    "sim": pd.Series([], dtype="float64"),
-                    "n_oversized": pd.Series([], dtype="int64"),
-                }
-            )
+            return _empty_pairs(_SIM, counter=True).to_pandas()
         out = pd.concat(out_frames, ignore_index=True)
         return out.astype({"a": "int64", "b": "int64", "sim": "float64",
                            "n_oversized": "int64"})
 
-    raw = (
-        with_buckets.map_batches(add_coarse, batch_format="pyarrow")
-        .groupby("coarse")
-        .map_groups(per_coarse, batch_format="pandas")
+    return _distinct_pairs_ds(
+        _by_coarse(with_buckets, "bucket", coarse_buckets, per_coarse), _SIM
     )
-    # distinct (a, b): duplicate emissions carry the SAME rounded sim
-    # (cosine of the same two vectors), so any picker works — Min keeps
-    # the aggregate mergeable. Only int64/float64 triples shuffle.
-    agg = raw.groupby(["a", "b"]).aggregate(
-        Min("sim", alias_name="sim"),
-        Sum("n_oversized", alias_name="n_oversized"),
-    )
-    # zero qualifying pairs leaves the aggregate SCHEMA-LESS (Ray 2.49
-    # emits no typed empty block); hand downstream consumers
-    # (drop_neardups_ds's select_columns, the wrapper's sort) a typed
-    # empty instead. The probe materializes only the pair list — orders
-    # of magnitude below the corpus by construction.
-    agg = agg.materialize()
-    if agg.count() == 0:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "a": pa.array([], pa.int64()),
-                    "b": pa.array([], pa.int64()),
-                    "sim": pa.array([], pa.float64()),
-                    "n_oversized": pa.array([], pa.int64()),
-                }
-            )
-        )
-    return agg
 
 
 # --- near-dup clustering (connected components over pair lists) ----------
@@ -1562,28 +1334,28 @@ def neardup_clusters(pairs: pd.DataFrame) -> pd.DataFrame:
     )
 
 
+def _drop_ids(docs_ds: rd.Dataset, drop_ids: np.ndarray, id_col: str) -> rd.Dataset:
+    """Streaming filter that drops ``drop_ids`` from ``docs_ds``: the id
+    set is broadcast once via ``ray.put`` into an ``is_in`` filter; the
+    corpus is never shuffled or materialized."""
+    ref = ray.put(pa.array(np.sort(drop_ids), pa.int64()))
+
+    def keep(t: pa.Table) -> pa.Table:
+        return t.filter(pc.invert(pc.is_in(t[id_col], value_set=ray.get(ref))))
+
+    return docs_ds.map_batches(keep, batch_format="pyarrow")
+
+
 def drop_neardups(
     docs_ds: rd.Dataset, pairs: pd.DataFrame, id_col: str = "doc_id"
 ) -> rd.Dataset:
     """Keep one representative per near-dup cluster (the min-id member)
     plus every unpaired doc. The DROP set (non-representative members of
     clusters — bounded by the number of near-dup docs, not the corpus)
-    is broadcast via ``ray.put`` into a streaming filter; the corpus is
-    never shuffled or materialized."""
-    import pyarrow.compute as pc
-
-    import ray
-
+    goes into the broadcast filter ``_drop_ids``."""
     clusters = neardup_clusters(pairs)
     drop = clusters.loc[clusters["doc_id"] != clusters["cluster_id"], "doc_id"]
-    ref = ray.put(pa.array(np.sort(drop.to_numpy()), pa.int64()))
-
-    def keep(t: pa.Table) -> pa.Table:
-        return t.filter(
-            pc.invert(pc.is_in(t[id_col], value_set=ray.get(ref)))
-        )
-
-    return docs_ds.map_batches(keep, batch_format="pyarrow")
+    return _drop_ids(docs_ds, drop.to_numpy(), id_col)
 
 
 def drop_neardups_ds(
@@ -1607,10 +1379,6 @@ def drop_neardups_ds(
       ``is_in`` filter under ``broadcast_limit``, else anti-joined via
       a bounded-partition hash shuffle. The corpus itself never
       shuffles on any route."""
-    import pyarrow.compute as pc
-
-    import ray
-
     pairs_mat = pairs_ds.select_columns(["a", "b"]).materialize()
     n_pairs = pairs_mat.count()
     if n_pairs == 0:
@@ -1626,13 +1394,7 @@ def drop_neardups_ds(
 
     drop_ds = clusters.map_batches(non_reps, batch_format="pyarrow").materialize()
     if drop_ds.count() <= broadcast_limit:
-        drop_ids = drop_ds.to_pandas()["doc_id"].to_numpy()
-        ref = ray.put(pa.array(np.sort(drop_ids), pa.int64()))
-
-        def keep(t: pa.Table) -> pa.Table:
-            return t.filter(pc.invert(pc.is_in(t[id_col], value_set=ray.get(ref))))
-
-        return docs_ds.map_batches(keep, batch_format="pyarrow")
+        return _drop_ids(docs_ds, drop_ds.to_pandas()["doc_id"].to_numpy(), id_col)
 
     # anti-join: left_outer against a marked drop set, keep the
     # unmatched rows (marker null). Partition count bounded by cluster
@@ -1846,10 +1608,6 @@ def decontaminate(
     array and a segment-sum per doc. One streaming pass, no shuffle,
     nothing driver-side but the benchmark itself. Docs with NO
     shingles score 0.0 (nothing to leak)."""
-    import pyarrow.compute as pc
-
-    import ray
-
     bench: set[int] = set()
     for x in benchmark_texts:
         bench |= shingles(x or "", shingle_k)

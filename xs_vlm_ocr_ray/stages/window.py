@@ -203,6 +203,36 @@ def sessionize(
 # --- consecutive-duplicate drop (D2 at scale) ---------------------------
 
 
+def _boundary_drop_ids(
+    markers: pd.DataFrame, value_col: str, ts_col: str, id_col: str
+) -> list:
+    """The cross-bucket step of ``drop_consecutive_ds``: ids of bucket
+    first rows whose value repeats the previous bucket's last value.
+    ``markers`` holds one row per bucket (its first row's id, ts and
+    value, plus ``_last_value``) in whatever order the groupby returned
+    them; buckets are disjoint time ranges, so sorting by (ts, id) puts
+    them in bucket order before the walk."""
+    if markers.empty:  # no rows at all: possibly schema-less
+        return []
+    markers = markers.sort_values([ts_col, id_col], kind="mergesort")
+    drop_ids: list = []
+    # A sentinel (not None) marks "no previous bucket": a null last
+    # value is a legitimate value and compares EQUAL to a null first
+    # value (IS DISTINCT FROM semantics, matching per_bucket)
+    _unset = object()
+    prev_last = _unset
+    for fid, fval, lval in zip(
+        markers[id_col], markers[value_col], markers["_last_value"]
+    ):
+        if prev_last is not _unset and (
+            fval == prev_last
+            or (pd.isna(fval) and pd.isna(prev_last))
+        ):
+            drop_ids.append(fid)
+        prev_last = lval
+    return drop_ids
+
+
 def drop_consecutive_ds(
     events: rd.Dataset,
     value_col: str = "event_type",
@@ -224,9 +254,9 @@ def drop_consecutive_ds(
     2. the tagged output is checkpointed once (``materialize`` — the
        object store spills at scale; this is what lets the marker pull
        and the survivor filter share one execution of the shuffle);
-    3. the driver pulls ONLY the markers (one row per bucket), walks
-       them in time order, and decides which buckets' first rows fall
-       to the cross-bucket adjacency — a tiny drop-id set;
+    3. the driver pulls ONLY the markers (one row per bucket), sorts
+       them by (ts, id), walks them, and decides which buckets' first
+       rows fall to the cross-bucket adjacency — a tiny drop-id set;
     4. the drop-id set is applied to the survivors as a broadcast
        ``is_in`` filter (the ``drop_neardups`` shape) — survivors
        stream to the consumer, never through the driver.
@@ -265,24 +295,7 @@ def drop_consecutive_ds(
         lambda t: t.filter(pc.equal(t["_kind"], 1)), batch_format="pyarrow"
     ).to_pandas()
 
-    drop_ids: list = []
-    if not markers.empty:
-        # buckets are disjoint time ranges → marker (ts, id) orders them.
-        # A sentinel (not None) marks "no previous bucket": a null last
-        # value is a legitimate value and compares EQUAL to a null first
-        # value (IS DISTINCT FROM semantics, matching per_bucket)
-        _unset = object()
-        prev_last = _unset
-        for fid, fval, lval in zip(
-            markers[id_col], markers[value_col], markers["_last_value"]
-        ):
-            if prev_last is not _unset and (
-                fval == prev_last
-                or (pd.isna(fval) and pd.isna(prev_last))
-            ):
-                drop_ids.append(fid)
-            prev_last = lval
-
+    drop_ids = _boundary_drop_ids(markers, value_col, ts_col, id_col)
     drop_arr = pa.array(drop_ids) if drop_ids else None
 
     def finalize(t: pa.Table) -> pa.Table:
