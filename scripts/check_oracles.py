@@ -8,9 +8,10 @@ Usage: python scripts/check_oracles.py [sf_dir] [query ...]
 from __future__ import annotations
 
 import logging
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def to_pandas(res):

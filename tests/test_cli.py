@@ -1,8 +1,11 @@
 """run_corpus CLI: subprocess drive (owns its own Ray session)."""
 
 import json
+import os
 import subprocess
 import sys
+
+CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_run_corpus_extract(tiny_pages_dir, tmp_path):
@@ -14,7 +17,7 @@ def test_run_corpus_extract(tiny_pages_dir, tmp_path):
             "--num-cpus", "2",
             "--wave-shards", "2",
         ],
-        capture_output=True, text=True, timeout=600, cwd="/root/repo",
+        capture_output=True, text=True, timeout=600, cwd=CHECKOUT,
     )
     assert out.returncode == 0, out.stderr[-2000:]
     summary = json.loads(out.stdout.strip().splitlines()[-1])
@@ -27,7 +30,7 @@ def test_run_corpus_extract(tiny_pages_dir, tmp_path):
             "--out", str(tmp_path / "o"),
             "--num-cpus", "2",
         ],
-        capture_output=True, text=True, timeout=600, cwd="/root/repo",
+        capture_output=True, text=True, timeout=600, cwd=CHECKOUT,
     )
     summary2 = json.loads(out2.stdout.strip().splitlines()[-1])
     assert summary2["waves"] == 0 and summary2["rows"] == 200
@@ -65,7 +68,7 @@ def test_run_corpus_training_gates(ray_session, tiny_pages_dir, tmp_path):
             "--decontam-dir", str(bdir),
             "--num-cpus", "2",
         ],
-        capture_output=True, text=True, timeout=600, cwd="/root/repo",
+        capture_output=True, text=True, timeout=600, cwd=CHECKOUT,
     )
     assert out.returncode == 0, out.stderr[-2000:]
     summary = json.loads(out.stdout.strip().splitlines()[-1])
@@ -81,7 +84,7 @@ def test_run_corpus_training_gates(ray_session, tiny_pages_dir, tmp_path):
             "--out", str(tmp_path / "o2"),
             "--blocklist", str(bl),
         ],
-        capture_output=True, text=True, timeout=120, cwd="/root/repo",
+        capture_output=True, text=True, timeout=120, cwd=CHECKOUT,
     )
     assert bad.returncode != 0
     assert "--pipeline training" in bad.stderr
@@ -97,7 +100,7 @@ def test_run_corpus_compact(tiny_pages_dir, tmp_path):
             "--wave-shards", "2",
             "--compact",
         ],
-        capture_output=True, text=True, timeout=600, cwd="/root/repo",
+        capture_output=True, text=True, timeout=600, cwd=CHECKOUT,
     )
     assert out.returncode == 0, out.stderr[-2000:]
     summary = json.loads(out.stdout.strip().splitlines()[-1])
@@ -119,7 +122,7 @@ def test_run_corpus_rejects_misused_flags_and_bad_model(tiny_pages_dir, tmp_path
         p = subprocess.run(
             [sys.executable, "scripts/run_corpus.py",
              "--input", tiny_pages_dir, "--out", str(tmp_path / "o1"), *extra],
-            capture_output=True, text=True, cwd="/root/repo",
+            capture_output=True, text=True, cwd=CHECKOUT,
         )
         assert p.returncode != 0 and "--pipeline training" in p.stderr
 
@@ -129,7 +132,7 @@ def test_run_corpus_rejects_misused_flags_and_bad_model(tiny_pages_dir, tmp_path
         [sys.executable, "scripts/run_corpus.py",
          "--input", tiny_pages_dir, "--out", str(tmp_path / "o2"),
          "--config", str(cfg), "--model", "stub-vln"],
-        capture_output=True, text=True, cwd="/root/repo",
+        capture_output=True, text=True, cwd=CHECKOUT,
     )
     assert p.returncode == 2 and "not an enabled model" in p.stderr
 
@@ -139,25 +142,22 @@ def test_run_corpus_hot_reload_loop_flags_and_wall(tiny_pages_dir, tmp_path):
     manifest between its calls, so --no-resume is rejected there; its
     wall_s sums every call instead of reporting only the last one (a
     zero-wave convergence check)."""
-    import os
-
     from xs_vlm_ocr_ray.state.manifest import load_manifest
 
-    checkout = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"models": [{"id": "m1", "engine": "local_html"}]}))
     base = [sys.executable, "scripts/run_corpus.py", "--input", tiny_pages_dir,
             "--config", str(cfg), "--wave-shards", "2", "--num-cpus", "2"]
     p = subprocess.run(
         [*base, "--out", str(tmp_path / "o1"), "--no-resume"],
-        capture_output=True, text=True, cwd=checkout,
+        capture_output=True, text=True, cwd=CHECKOUT,
     )
     assert p.returncode == 2 and "--no-resume" in p.stderr
 
     out_dir = tmp_path / "o2"
     p = subprocess.run(
         [*base, "--out", str(out_dir)],
-        capture_output=True, text=True, timeout=600, cwd=checkout,
+        capture_output=True, text=True, timeout=600, cwd=CHECKOUT,
     )
     assert p.returncode == 0, p.stderr[-2000:]
     summary = json.loads(p.stdout.strip().splitlines()[-1])

@@ -69,6 +69,29 @@ def test_spans_reassemble_to_text(extract_out):
         assert qt_trim(assemble_text(spans)) == row["extracted_text"]
 
 
+def test_in_task_split_matches_unsplit(ray_session, tiny_pages_dir):
+    """HtmlExtractor's multi-segment branch through Ray: 16 KiB segments
+    give the same text, spans, status and hash per url as whole pages."""
+    from xs_vlm_ocr_ray.pipelines.extract import build_extract_ds
+
+    sizes = pq.read_table(tiny_pages_dir, columns=["html"])["html"].to_pylist()
+    assert sum(len(h) > 16 << 10 for h in sizes if h) >= 2  # giants split
+
+    whole = build_extract_ds(tiny_pages_dir).to_pandas().set_index("url")
+    split = (
+        build_extract_ds(tiny_pages_dir, engine_kwargs={"segment_bytes": 16 << 10})
+        .to_pandas()
+        .set_index("url")
+    )
+    assert set(split.index) == set(whole.index)
+    for url, w in whole.iterrows():
+        s = split.loc[url]
+        assert s["extracted_text"] == w["extracted_text"], url
+        assert list(s["spans"]) == list(w["spans"]), url
+        assert s["success"] == w["success"], url
+        assert s["content_hash"] == w["content_hash"], url
+
+
 def test_lineage_columns(extract_out):
     out, _ = extract_out
     df = _results_df(out)

@@ -24,34 +24,6 @@ def test_classify_text_starting_with_bm_riff_is_html():
     assert kinds == ["html", "html", "image", "image", "image", "html"]
 
 
-def test_scatter_mirror_urls_not_merged(ray_session, tmp_path):
-    """Two giant docs sharing a url must each produce their own row."""
-    from xs_vlm_ocr_ray.fixtures import gen_page
-    from xs_vlm_ocr_ray.pipelines.scatter import build_scatter_extract_ds
-
-    giant = next(
-        gen_page(i) for i in range(0, 400) if i % 100 >= 95 and i % 2 == 0
-    )
-    t = pa.table({
-        "url": pa.array([giant["url"], giant["url"]], pa.string()),
-        "warc_ts": pa.array([giant["warc_ts"]] * 2, pa.timestamp("us")),
-        "html": pa.array([giant["html"], giant["html"]], pa.binary()),
-        "text": pa.array(["", ""], pa.string()),
-        "lang": pa.array(["en", "en"], pa.string()),
-    })
-    d = tmp_path / "dup_urls"
-    d.mkdir()
-    pq.write_table(t, d / "s0.parquet")
-    df = build_scatter_extract_ds(
-        str(d), threshold_bytes=16 << 10, segment_bytes=8 << 10
-    ).to_pandas()
-    assert len(df) == 2  # one row per source row, not one merged blob
-    from xs_vlm_ocr_ray.extract import extract_html
-
-    want = extract_html(giant["html"]).full_text
-    assert (df["extracted_text"] == want).all()
-
-
 def test_empty_shard_gets_manifest_record(ray_session, tmp_path):
     from xs_vlm_ocr_ray.fixtures import PAGES_SCHEMA, pages_table
     from xs_vlm_ocr_ray.pipelines.extract import run_extract

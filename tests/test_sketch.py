@@ -42,6 +42,20 @@ def test_approx_distinct_on_events(ray_session):
     assert abs(n_approx - n_exact) / n_exact < 0.05
 
 
+def test_approx_users_row_within_bound_of_exact_row(ray_session):
+    """The rows-only HLL query is held to its oracle-checked exact
+    companion: p=12 has standard error 1.04/sqrt(4096) ≈ 1.6%."""
+    from xs_vlm_ocr_ray.pipelines.queries import (
+        q_events_approx_users,
+        q_events_distinct_users,
+    )
+
+    exact = int(q_events_distinct_users(SF)["distinct_users"].iloc[0])
+    approx = int(q_events_approx_users(SF)["approx_distinct_users"].iloc[0])
+    assert exact == len(set(pq.read_table(f"{SF}/events.parquet")["user_id"].to_pylist()))
+    assert abs(approx - exact) / exact < 0.05
+
+
 def test_ivf_recall(ray_session):
     import ray.data as rd
 

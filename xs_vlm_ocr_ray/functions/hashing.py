@@ -71,6 +71,3 @@ def content_hash_batch(
         out.append(h.hexdigest())
     return out
 
-
-def md5_hex(data: bytes) -> str:
-    return hashlib.md5(data).hexdigest()

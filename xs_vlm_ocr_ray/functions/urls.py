@@ -35,17 +35,6 @@ def domain_of(url_col: pa.ChunkedArray | pa.Array) -> pa.Array:
     return pc.utf8_rtrim(pc.utf8_lower(hosts), ".")
 
 
-def add_domain(
-    ds: rd.Dataset, url_col: str = "url", out_col: str = "domain"
-) -> rd.Dataset:
-    """Append the domain column (null where the url has no scheme)."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        return t.append_column(out_col, domain_of(t[url_col]))
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
 def domain_stats(
     ds: rd.Dataset,
     url_col: str = "url",

@@ -94,16 +94,6 @@ def build_extract_ds(
     )
 
 
-def default_pool_size() -> int:
-    """Actor-pool size for a HEAVY engine stage (concurrency=N path):
-    leave headroom for the read and write stages so the pipeline never
-    serializes on one operator (SURVEY.md §4 admission control)."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return max(2, cpus - 2)
-
-
 class StoreLockedError(RuntimeError):
     """The results store's writer lock is held by another live process."""
 

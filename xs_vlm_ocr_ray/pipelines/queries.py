@@ -800,6 +800,22 @@ def q_events_approx_users(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"approx_distinct_users": [n]})
 
 
+def q_events_distinct_users(sf_dir: str) -> pd.DataFrame:
+    """Exact COUNT(DISTINCT user_id): per-batch partial dedup → unique.
+    The oracle-checked companion of ``q_events_approx_users`` (the HLL
+    estimate is held to this row, tests/test_sketch.py)."""
+    ds = _read(sf_dir, "events", ["user_id"])
+
+    def partial(t: pa.Table) -> pa.Table:
+        return pa.table({"user_id": pc.unique(pc.drop_null(t["user_id"]))})
+
+    users = ds.map_batches(partial, batch_format="pyarrow").unique("user_id")
+    return pd.DataFrame({"distinct_users": [len(users)]})
+
+
+_DISTINCT_USERS_SQL = "SELECT COUNT(DISTINCT user_id) AS distinct_users FROM events"
+
+
 def q_ann_ivf_topk(sf_dir: str) -> pd.DataFrame:
     """IVF-bucketed approximate top-k (train coarse quantizer → assign
     → probe nearest nprobe partitions). Rows-only; recall is
@@ -1004,7 +1020,7 @@ FROM documents
 
 
 def q_doc_token_count(sf_dir: str) -> pd.DataFrame:
-    """Token counting (whitespace tokenizer) per document.
+    r"""Token counting (whitespace tokenizer) per document.
 
     Oracle parity: the SQL counts NON-EMPTY regexp-split segments, which
     equals Python ``str.split()`` for ASCII whitespace (leading/trailing
@@ -1675,24 +1691,6 @@ def extract_pages_retry(sf_dir: str) -> pd.DataFrame:
     )
 
 
-def extract_pages_scatter(sf_dir: str) -> pd.DataFrame:
-    """Giant-doc scatter path: split at scanner-neutral cut points →
-    actor-pool-scattered segment extraction → ordered reassembly.
-    Byte-identity vs the direct pipeline is pytest-gated
-    (tests/test_scatter.py); rows-only here."""
-    from .scatter import build_scatter_extract_ds
-
-    pdir = pages_dir_for(sf_dir)
-    df = build_scatter_extract_ds(
-        pdir, threshold_bytes=64 << 10, segment_bytes=32 << 10
-    ).to_pandas()
-    return (
-        df[["url", "extracted_text", "success", "error", "content_hash", "n_segs"]]
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-
-
 def extract_pages_routed(sf_dir: str) -> pd.DataFrame:
     """M1 payload router: mixed corpus (html + fake PDF/PNG payloads)
     through the dual-engine routed pipeline — html rows via boilerplate
@@ -1854,7 +1852,6 @@ QUERIES = {
     "extract_pages_vlm": extract_pages_vlm,
     "extract_pages_dedup": extract_pages_dedup,
     "extract_pages_retry": extract_pages_retry,
-    "extract_pages_scatter": extract_pages_scatter,
     "q1_lineitem_agg": q1_lineitem_agg,
     "q6_revenue": q6_revenue,
     "q5_local_supplier_volume": q5_local_supplier_volume,
@@ -1867,6 +1864,7 @@ QUERIES = {
     "q_orders_join_shuffle": q_orders_join_shuffle,
     "q_top_orders": q_top_orders,
     "q_events_approx_users": q_events_approx_users,
+    "q_events_distinct_users": q_events_distinct_users,
     "q_retention_store": q_retention_store,
     "q_filtered_count": q_filtered_count,
     "q_history_page": q_history_page,
@@ -1914,7 +1912,12 @@ QUERIES = {
 # evidences the identical multimodal actor-pool plumbing; audio stays
 # pytest-gated in tests/test_multimodal.py) for the oracle-checked
 # key-range pagination row q_history_page_cursor and the per-site
-# sampling cap row q_cap_per_domain.
+# sampling cap row q_cap_per_domain. Round 6: the giant-doc scatter
+# row OUT, deleted with its pipeline (it shuffled all extracted text to
+# reassemble split pages and measured ~4x slower at 4 CPUs than
+# HtmlExtractor's in-task split, which stays pytest-gated in
+# tests/test_pipeline.py and tests/test_extract.py) for the
+# oracle-checked exact companion q_events_distinct_users of the HLL row.
 
 ORACLE_SQL = {
     "q1_lineitem_agg": _Q1_SQL,
@@ -1928,6 +1931,7 @@ ORACLE_SQL = {
     "q_supplier_nation": _SUPPLIER_NATION_SQL,
     "q_orders_join_shuffle": _ORDERS_JOIN_SQL,
     "q_top_orders": _TOP_ORDERS_SQL,
+    "q_events_distinct_users": _DISTINCT_USERS_SQL,
     "q_filtered_count": _FILTERED_COUNT_SQL,
     "q_history_page": _HISTORY_PAGE_SQL,
     "q_history_page2": _HISTORY_PAGE2_SQL,

@@ -21,9 +21,9 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..sources.pages import read_pages
-from ..stages.classify import classify_payload_kind
 from ..stages.extract_stage import HtmlExtractor
 from ..stages.layout import LayoutExtractor
+from .extract import build_extract_ds
 
 
 class RoutedExtractor:
@@ -63,13 +63,11 @@ class RoutedExtractor:
 def build_routed_extract_ds(
     sf_dir_or_paths,
     emit_spans: bool = True,
-    concurrency=None,
-    batch_size: int | None = None,
     skip_shards=frozenset(),
     blocklist=None,
 ) -> rd.Dataset:
-    """classify → routed dual-engine extraction (task mode by default,
-    actor pool with ``concurrency=N`` for heavy engines).
+    """classify → routed dual-engine extraction, as one
+    ``build_extract_ds`` stage (fused with the reader in task mode).
 
     ``blocklist``: optional domain blocklist applied BEFORE
     classification/extraction (``functions.urls.filter_domains``) —
@@ -80,17 +78,6 @@ def build_routed_extract_ds(
         from ..functions.urls import filter_domains
 
         ds = filter_domains(ds, blocklist)
-    ds = ds.map_batches(classify_payload_kind, batch_format="pyarrow")
-    if concurrency is None:
-        return ds.map_batches(
-            RoutedExtractor(emit_spans=emit_spans),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-    return ds.map_batches(
-        RoutedExtractor,
-        fn_constructor_kwargs={"emit_spans": emit_spans},
-        batch_format="pyarrow",
-        batch_size=batch_size if batch_size is not None else 512,
-        concurrency=concurrency,
+    return build_extract_ds(
+        ds, engine_cls=RoutedExtractor, engine_kwargs={"emit_spans": emit_spans}
     )

@@ -11,9 +11,9 @@ pool parallelizes by construction.
 
 Error model: in-band ``success/error`` columns, never exceptions
 (reference semantics, src/adapters/QwenAdapter.cpp:538-545). Giant
-documents are segmented *inside* the actor via ``split_html`` (exact, see
-extract.py) so per-row working memory stays bounded; cross-actor
-scattering of segments is the pipeline-level option (pipelines/extract.py).
+documents are segmented *inside* the task via ``split_html`` (exact, see
+extract.py) so per-row working memory stays bounded; this in-task split
+is the engine's only giant-document path.
 """
 
 from __future__ import annotations
