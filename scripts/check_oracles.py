@@ -11,7 +11,8 @@ import logging
 import os
 import sys
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 
 def to_pandas(res):
@@ -44,6 +45,10 @@ def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
+    # the Ray workers import the package from this checkout as well
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (ROOT, os.environ.get("PYTHONPATH")) if p
+    )
     ray.init(
         address="local", num_cpus=8, include_dashboard=False,
         ignore_reinit_error=True, logging_level=logging.ERROR,

@@ -164,8 +164,6 @@ def test_read_results_manifest_pruning(ray_session, tiny_pages_dir, tmp_path_fac
     """Predicate-pushed manifest pruning: shard_ids / row_range reads
     prune FILES before read_parquet (via the manifest's per-shard
     records) and return exactly the rows a full read + filter would."""
-    import os
-
     from xs_vlm_ocr_ray.pipelines.extract import (
         read_results,
         run_extract,
@@ -186,11 +184,9 @@ def test_read_results_manifest_pruning(ray_session, tiny_pages_dir, tmp_path_fac
     want = full[full["shard_id"].isin(want_ids)]
     assert sorted(got["url"]) == sorted(want["url"])
     # the pruned plan lists strictly fewer files than the full plan
-    auth_all = {(os.path.basename(r["wave_dir"]), s) for s, r in man.items()}
     man_sub = {s: man[s] for s in want_ids}
-    auth_sub = {(os.path.basename(r["wave_dir"]), s) for s, r in man_sub.items()}
-    n_all = len(select_result_files(out, man, auth_all))
-    n_sub = len(select_result_files(out, man_sub, auth_sub))
+    n_all = len(select_result_files(out, man))
+    n_sub = len(select_result_files(out, man_sub))
     assert 0 < n_sub < n_all
 
     # row-range pruning (exact filter on survivors)
@@ -204,6 +200,89 @@ def test_read_results_manifest_pruning(ray_session, tiny_pages_dir, tmp_path_fac
     assert sorted(got_c["url"]) == sorted(want_c["url"])
     # empty prune result is an empty dataset, not an error
     assert read_results(out, shard_ids=[99999]).count() == 0
+
+
+def test_foreign_parquet_refused_by_reads_and_rewrites(
+    ray_session, tiny_pages_dir, tmp_path_factory
+):
+    """A .parquet in a manifested wave dir that does not follow the
+    part-file naming is foreign: reads and both store rewrites refuse it
+    by name, before anything is read, rewritten or collected."""
+    import os
+    import shutil
+
+    from xs_vlm_ocr_ray.pipelines.extract import (
+        compact_results,
+        read_results,
+        retain_recent,
+        run_extract,
+    )
+    from xs_vlm_ocr_ray.state.manifest import load_manifest
+
+    out = str(tmp_path_factory.mktemp("foreign") / "out")
+    run_extract(tiny_pages_dir, out, wave_shards=2)
+    man = load_manifest(out)
+    wave_dir = sorted({r["wave_dir"] for r in man.values()})[0]
+    part = sorted(f for f in os.listdir(wave_dir) if f.endswith(".parquet"))[0]
+    foreign = os.path.join(wave_dir, "foreign.parquet")
+    shutil.copyfile(os.path.join(wave_dir, part), foreign)
+
+    def snapshot():
+        return sorted(
+            os.path.relpath(os.path.join(d, f), out)
+            for d, _, fs in os.walk(out) for f in fs
+        )
+
+    files_before = snapshot()
+    for mutate in (
+        lambda: read_results(out),
+        lambda: read_results(out, columns=["url"], row_range=(0, 9)),
+        lambda: compact_results(out),
+        lambda: retain_recent(out, 50),
+    ):
+        with pytest.raises(ValueError, match="foreign.parquet"):
+            mutate()
+    assert load_manifest(out) == man
+    assert snapshot() == files_before
+    assert os.path.isfile(foreign)
+
+
+def test_read_results_relocated_relative_out_dir(
+    ray_session, tiny_pages_dir, tmp_path_factory, monkeypatch
+):
+    """A store moved after writing is read through its manifest's wave
+    NAMES re-rooted under the caller's out_dir, and a relative out_dir
+    is absolutized before the files reach the Ray workers."""
+    import os
+    import shutil
+
+    from xs_vlm_ocr_ray.pipelines.extract import (
+        read_results,
+        run_extract,
+        select_result_files,
+    )
+    from xs_vlm_ocr_ray.state.manifest import load_manifest
+
+    base = tmp_path_factory.mktemp("relocate")
+    out = str(base / "out")
+    run_extract(tiny_pages_dir, out, wave_shards=2)
+    full = read_results(out).to_pandas()
+    new_parent = base / "elsewhere"
+    new_parent.mkdir()
+    shutil.move(out, str(new_parent / "moved"))
+    monkeypatch.chdir(new_parent)
+    # absolute and present before any Ray task sees them (a relative
+    # path would resolve against the workers' cwd)
+    files = select_result_files("moved", load_manifest("moved"))
+    assert files and all(os.path.isabs(f) and os.path.isfile(f) for f in files)
+
+    got = read_results("moved", shard_ids=[1, 2]).to_pandas()
+    assert sorted(got["url"]) == sorted(full[full["shard_id"].isin([1, 2])]["url"])
+    got_r = read_results("moved", columns=["url"], row_range=(10, 19)).to_pandas()
+    assert list(got_r.columns) == ["url"]
+    want_r = full[(full["row_idx"] >= 10) & (full["row_idx"] <= 19)]
+    assert sorted(got_r["url"]) == sorted(want_r["url"])
+    assert len(got_r) == 40
 
 
 def test_compact_results(ray_session, tiny_pages_dir, tmp_path_factory):

@@ -33,6 +33,7 @@ import pyarrow as pa
 from ..extract import extract_html
 from ..functions.hashing import content_hash_batch
 from ..functions.textnorm import normalize_boxed, qt_trim
+from ..schema import LINEAGE_COLUMNS
 from .config import default_prompt
 from .errors import classify_error, is_retryable_error
 
@@ -49,12 +50,10 @@ class StubVlmExtractor:
         prompt: str = "",
         params: dict[str, str] | None = None,
         row_timeout_ms: int = 60_000,
-        keep_input_columns: tuple[str, ...] = ("shard_id", "row_idx"),
     ):
         self.params = dict(params or {})
         self.prompt = prompt
         self.row_timeout_ms = row_timeout_ms
-        self.keep = keep_input_columns
         # T1 initialize(): online engines validate credentials up front;
         # failure leaves the engine constructed but uninitialized — every
         # row then fails in-band (the reference's isInitialized guard,
@@ -127,7 +126,7 @@ class StubVlmExtractor:
             "processing_ms": pa.array(ms, pa.int64()),
             "content_hash": pa.array(hashes, pa.string()),
         }
-        for k in self.keep:
+        for k in LINEAGE_COLUMNS:
             if k in batch.column_names:
                 cols[k] = batch[k]
         return pa.table(cols)

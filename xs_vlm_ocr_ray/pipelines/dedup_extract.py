@@ -41,8 +41,8 @@ import ray.data as rd
 from ..extract import extract_html
 from ..functions.hashing import content_hash_batch
 from ..sources.pages import read_pages
+from ..stages.extract_stage import HtmlExtractor, binary_views
 
-ENGINE_ID = "local_html"
 
 def _hash_and_collapse(prompt: str, params: dict[str, str] | None):
     """Stateless kernel: append hashes; null out payloads of within-batch
@@ -51,10 +51,8 @@ def _hash_and_collapse(prompt: str, params: dict[str, str] | None):
     def fn(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        from ..stages.extract_stage import binary_views
-
         payloads = binary_views(t["html"])  # zero-copy: hash without memcpy
-        hashes = content_hash_batch(payloads, prompt, ENGINE_ID, params)
+        hashes = content_hash_batch(payloads, prompt, HtmlExtractor.ENGINE_ID, params)
         sids = t["shard_id"].to_pylist()
         rids = t["row_idx"].to_pylist()
         seen: set[str] = set()
@@ -174,7 +172,7 @@ def _extract_group(df: pd.DataFrame) -> pd.DataFrame:
         "extracted_text": [text] * len(rows),
         "success": [success] * len(rows),
         "error": [error] * len(rows),
-        "engine": [ENGINE_ID] * len(rows),
+        "engine": [HtmlExtractor.ENGINE_ID] * len(rows),
         # keeper pays the compute; every other member is a hit at 0 ms
         "processing_ms": [ms if not from_cache else 0]
         + [0] * (len(rows) - 1),

@@ -44,7 +44,6 @@ def build_extract_ds(
     concurrency=None,
     batch_size: int | None = None,
     skip_shards=frozenset(),
-    classify: bool = True,
 ) -> rd.Dataset:
     """Lazy Dataset for the extraction pipeline (no execution).
 
@@ -75,8 +74,7 @@ def build_extract_ds(
         ds = read_pages(
             sf_dir_or_paths, columns=["url", "html"], skip_shards=skip_shards
         )
-    if classify:
-        ds = ds.map_batches(classify_payload_kind, batch_format="pyarrow")
+    ds = ds.map_batches(classify_payload_kind, batch_format="pyarrow")
     kwargs = dict(engine_kwargs or {})
     if concurrency is None:
         # task mode: a picklable engine INSTANCE fuses with the reader
@@ -107,9 +105,8 @@ _NO_LINK_ERRNOS = frozenset(
 )
 
 # THE result-file naming contract: ``part-s<shard>-r<first_row>.parquet``
-# (written by _ShardWriter; parsed by the reader's file pruning and the
-# store rewrite's per-shard file lists — one definition, or the reader
-# and compactor silently disagree about which files are live)
+# (written by _ShardWriter; parsed only by _shard_file_lists, the one
+# lister behind every store read and rewrite)
 import re as _re
 
 _PART_FILE_RE = _re.compile(r"part-s(\d+)-r(\d+)\.parquet$")
@@ -429,35 +426,13 @@ def _run_extract_locked(
     }
 
 
-def select_result_files(
-    out_dir: str, man: dict, authorized: set
-) -> list[str]:
-    """File-level manifest pruning: list candidate parquet files under
-    the manifest's wave dirs, keeping only files whose
-    (wave name, shard id parsed from the ``part-s<sid>-r<row>`` name)
-    is authorized. Shards pruned from ``man`` (by id or row range)
-    never reach ``read_parquet`` — at 100 TB the plan opens only the
-    files it needs, instead of row-filtering everything."""
-    name_re = _PART_FILE_RE
-    wave_dirs = sorted(
-        {
-            os.path.join(os.path.abspath(out_dir), "results",
-                         os.path.basename(rec["wave_dir"]))
-            for rec in man.values()
-        }
-    )
-    files = []
-    for wd in wave_dirs:
-        wave_name = os.path.basename(wd)
-        for f in sorted(os.listdir(wd)):
-            if not f.endswith(".parquet"):
-                continue
-            m = name_re.match(f)
-            # unparseable names are kept — the per-batch authorized
-            # filter still guards them row-wise
-            if m is None or (wave_name, int(m.group(1))) in authorized:
-                files.append(os.path.join(wd, f))
-    return files
+def select_result_files(out_dir: str, man: dict) -> list[str]:
+    """File-level manifest pruning: the files of ``man``'s shards, shard
+    by shard (``_shard_file_lists``). Shards pruned from ``man`` (by id
+    or row range) never reach ``read_parquet`` — at 100 TB the plan
+    opens only the files it needs."""
+    lists = _shard_file_lists(out_dir, man)
+    return [f for sid in sorted(lists) for f in lists[sid]]
 
 
 def read_results(
@@ -468,10 +443,13 @@ def read_results(
 ) -> rd.Dataset:
     """Read back the engine's results authoritatively via the manifest.
 
-    Each shard is read only from the wave directory its manifest record
-    points at, so stale data from crashed/partially-manifested waves is
-    never surfaced (the analog of the reference reading results only
-    through its committed SQLite table, HistoryManager.cpp:153-229).
+    Each shard is read only from the files its manifest record
+    authorizes (``_shard_file_lists``), so stale data from
+    crashed/partially-manifested waves is never surfaced (the analog of
+    the reference reading results only through its committed SQLite
+    table, HistoryManager.cpp:153-229). A ``.parquet`` in a manifested
+    wave dir that does not follow the writer's naming contract is
+    refused with ``ValueError``.
 
     Predicate-pushed manifest pruning (the reference's indexed
     time-range scans, HistoryManager.cpp:153-229, generalized):
@@ -493,64 +471,26 @@ def read_results(
             for sid, rec in man.items()
             if rec["n_rows"] > 0 and rec["row_max"] >= lo and rec["row_min"] <= hi
         }
-    if not man:
-        return rd.from_items([])
-    # (wave_dir, shard_id) pairs authorized by the manifest — ONE read
-    # over all wave dirs + a broadcast-set filter on (file's wave dir,
-    # row's shard_id), instead of a per-wave union chain (O(waves)
-    # operators would bloat the plan on a long-running dataset).
-    # authorize by (wave NAME, shard_id) — wave names are unique within
-    # an out_dir, and names survive path normalization (read_parquet may
-    # absolutize paths) and out_dir relocation, unlike full dir strings
-    authorized = {
-        (os.path.basename(rec["wave_dir"]), sid) for sid, rec in man.items()
-    }
-    # wave dirs are re-rooted under the CALLER's out_dir inside
-    # select_result_files (wave names are unique within it) — robust to
-    # a relocated output tree and manifests written with a different cwd
-    files = select_result_files(out_dir, man, authorized)
+    # via the module global: perfbench's store trace wraps it
+    files = select_result_files(out_dir, man)
     if not files:
         # a fully-filtered run manifests every shard with zero rows and
         # writes no parquet at all — an empty dataset, not an error
         return rd.from_items([])
-    cols = columns
-    helper_cols: list[str] = []  # appended for filtering, dropped after
-    if cols is not None and "shard_id" not in cols:
-        cols = list(cols) + ["shard_id"]
-        helper_cols.append("shard_id")
-    if cols is not None and row_range is not None and "row_idx" not in cols:
-        cols = list(cols) + ["row_idx"]
-        helper_cols.append("row_idx")
-    ds = rd.read_parquet(files, columns=cols, include_paths=True)
+    if row_range is None:
+        return rd.read_parquet(files, columns=columns)
+    helper = columns is not None and "row_idx" not in columns
+    ds = rd.read_parquet(files, columns=[*columns, "row_idx"] if helper else columns)
 
-    def keep(t: pa.Table) -> pa.Table:
-        import os as _os
-
-        import numpy as np
+    def in_range(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        paths = t["path"].to_pylist()
-        sids = t["shard_id"].to_pylist()
-        mask = np.fromiter(
-            (
-                (_os.path.basename(_os.path.dirname(p)), int(s)) in authorized
-                for p, s in zip(paths, sids)
-            ),
-            dtype=bool,
-            count=len(paths),
-        )
-        out = t.filter(pa.array(mask))
-        if row_range is not None:
-            out = out.filter(
-                pc.and_(
-                    pc.greater_equal(out["row_idx"], pa.scalar(row_range[0])),
-                    pc.less_equal(out["row_idx"], pa.scalar(row_range[1])),
-                )
-            )
+        idx = t["row_idx"]
+        out = t.filter(pc.and_(pc.greater_equal(idx, lo), pc.less_equal(idx, hi)))
         # a caller-specified projection gets exactly its columns back
-        return out.drop_columns(["path", *helper_cols])
+        return out.drop_columns(["row_idx"]) if helper else out
 
-    return ds.map_batches(keep, batch_format="pyarrow")
+    return ds.map_batches(in_range, batch_format="pyarrow")
 
 
 def preload_recent(
@@ -652,27 +592,32 @@ class _CompactShard:
 
 
 def _shard_file_lists(out_dir: str, man: dict) -> dict[int, list[str]]:
-    """Per-shard parquet file lists from the manifest (the same
-    (wave name, shard id parsed from ``part-s<sid>-r<row>``)
-    authorization as ``read_results``), each sorted by first-row
-    offset. Every file in an authorized store parses — the writer owns
-    the naming contract."""
-    name_re = _PART_FILE_RE
-    results_dir = os.path.join(out_dir, "results")
+    """THE result-file lister: every store read and rewrite touches
+    exactly the files this returns. Per shard of ``man``, the parquet
+    files in the wave dir its record names, each sorted by first-row
+    offset. Wave dirs are re-rooted under the caller's absolute
+    ``out_dir`` (wave names are unique within it): robust to a
+    relocated store, and Ray workers run with a different cwd. A
+    ``.parquet`` whose name does not parse is foreign — the writer owns
+    the naming contract — and is refused, not read or collected; so is
+    a missing wave dir (every record's wave dir is created before the
+    record is written)."""
+    results_dir = os.path.join(os.path.abspath(out_dir), "results")
     by_shard: dict[int, list[tuple[int, str]]] = {}
-    authorized = {
-        (os.path.basename(rec["wave_dir"]), sid) for sid, rec in man.items()
-    }
     for wd_name in sorted({os.path.basename(r["wave_dir"]) for r in man.values()}):
         wd = os.path.join(results_dir, wd_name)
-        if not os.path.isdir(wd):  # zero-row-only record target
-            continue
         for f in sorted(os.listdir(wd)):
-            m = name_re.match(f)
-            if m is None:
+            if not f.endswith(".parquet"):
                 continue
+            m = _PART_FILE_RE.match(f)
+            if m is None:
+                raise ValueError(
+                    f"foreign file in results store: {os.path.join(wd, f)!r} "
+                    "does not follow the part-s<shard>-r<row>.parquet naming "
+                    "contract; move it out of the store"
+                )
             sid = int(m.group(1))
-            if (wd_name, sid) in authorized:
+            if sid in man and os.path.basename(man[sid]["wave_dir"]) == wd_name:
                 by_shard.setdefault(sid, []).append(
                     (int(m.group(2)), os.path.join(wd, f))
                 )

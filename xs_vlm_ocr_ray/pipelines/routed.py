@@ -30,16 +30,9 @@ class RoutedExtractor:
     """Batch kernel: split by payload_kind → engine per kind → re-merge
     in original row order. Both engines initialize once per worker."""
 
-    def __init__(
-        self,
-        emit_spans: bool = True,
-        html_kwargs: dict | None = None,
-        layout_kwargs: dict | None = None,
-    ):
-        html_kwargs = {"emit_spans": emit_spans, **(html_kwargs or {})}
-        layout_kwargs = {"emit_spans": emit_spans, **(layout_kwargs or {})}
-        self.html = HtmlExtractor(**html_kwargs)
-        self.layout = LayoutExtractor(**layout_kwargs)
+    def __init__(self, emit_spans: bool = True):
+        self.html = HtmlExtractor(emit_spans=emit_spans)
+        self.layout = LayoutExtractor(emit_spans=emit_spans)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         kinds = batch["payload_kind"].to_pylist()

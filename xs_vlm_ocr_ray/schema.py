@@ -53,6 +53,9 @@ RESULTS_SCHEMA = pa.schema(
     ]
 )
 
+# lineage columns every engine copies from its input batch to its output
+LINEAGE_COLUMNS = ("shard_id", "row_idx")
+
 # Confidence the local HTML engine assigns to its single-block spans —
 # mirrors the reference's online-adapter constant (QwenAdapter.cpp:554-560
 # uses 0.95; Tesseract uses 0.8, TesseractAdapter.cpp:226-231).

@@ -142,7 +142,6 @@ def read_pages(
     sf_dir_or_paths: str | list[str],
     columns: list[str] | None = None,
     skip_shards: frozenset[int] | set[int] = frozenset(),
-    slice_rows: int = 2048,
 ) -> rd.Dataset:
     """Lineage-preserving read of a pages parquet directory."""
     # ALWAYS via list_shards — it sorts and expands dir entries, and
@@ -180,7 +179,7 @@ def read_pages(
     #   CPUs per pool, so the pools starve each other instead of
     #   sharing the node (tasks release CPUs; actors hold them).
     return ds.map_batches(
-        _RowGroupReader(columns, slice_rows),
+        _RowGroupReader(columns, 2048),
         batch_format="pyarrow",
     )
 

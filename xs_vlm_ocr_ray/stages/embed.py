@@ -72,22 +72,10 @@ def add_embeddings(
     text_col: str = "text",
     out_col: str = "embedding",
     dim: int = 64,
-    concurrency: int | None = None,
-    batch_size: int | None = None,
 ) -> rd.Dataset:
-    """Append an embedding column. Task pool by default (the stub's
-    init is cheap); pass ``concurrency`` for a real model whose weights
-    justify an actor pool."""
-    if concurrency is None:
-        return ds.map_batches(
-            TextEmbedder(text_col=text_col, out_col=out_col, dim=dim),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
+    """Append an embedding column, as a task-pool stage (the stub's
+    init is cheap)."""
     return ds.map_batches(
-        TextEmbedder,
-        fn_constructor_kwargs={"text_col": text_col, "out_col": out_col, "dim": dim},
+        TextEmbedder(text_col=text_col, out_col=out_col, dim=dim),
         batch_format="pyarrow",
-        batch_size=batch_size if batch_size is not None else 512,
-        concurrency=concurrency,
     )

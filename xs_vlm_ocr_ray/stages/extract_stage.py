@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 
 from ..extract import ExtractResult, extract_html, split_html
 from ..functions.hashing import content_hash_batch
-from ..schema import HTML_ENGINE_CONFIDENCE, SPAN_TYPE
+from ..schema import HTML_ENGINE_CONFIDENCE, LINEAGE_COLUMNS, SPAN_TYPE
 
 
 def binary_views(col: pa.ChunkedArray | pa.Array) -> list[memoryview | None]:
@@ -115,7 +115,6 @@ class HtmlExtractor:
         params: dict[str, str] | None = None,
         emit_spans: bool = True,
         segment_bytes: int = 4 << 20,
-        keep_input_columns: tuple[str, ...] = ("shard_id", "row_idx"),
     ):
         # Per-actor setup (once): warm the module-level compiled regexes
         # and freeze config. The analog of adapter initialize() (T1).
@@ -123,7 +122,6 @@ class HtmlExtractor:
         self.params = dict(params or {})
         self.emit_spans = emit_spans
         self.segment_bytes = segment_bytes
-        self.keep = keep_input_columns
         extract_html(b"<p>warmup</p>")
 
     def _extract_one(
@@ -173,7 +171,7 @@ class HtmlExtractor:
         cols["engine"] = pa.array([self.ENGINE_ID] * n, pa.string())
         cols["processing_ms"] = pa.array(ms, pa.int64())
         cols["content_hash"] = pa.array(hashes, pa.string())
-        for k in self.keep:
+        for k in LINEAGE_COLUMNS:
             if k in batch.column_names:
                 cols[k] = batch[k]
         return pa.table(cols)

@@ -31,7 +31,7 @@ import pyarrow as pa
 
 from ..functions.hashing import content_hash_batch
 from ..functions.textnorm import merge_full_text, qt_trim
-from ..schema import SPAN_TYPE
+from ..schema import LINEAGE_COLUMNS, SPAN_TYPE
 
 _WORDS = (
     "invoice total page section table figure heading paragraph line "
@@ -83,7 +83,6 @@ class LayoutExtractor:
         prompt: str = "",
         params: dict[str, str] | None = None,
         emit_spans: bool = True,
-        keep_input_columns: tuple[str, ...] = ("shard_id", "row_idx"),
     ):
         # T1: "pin the model weights once per actor" — here the fake
         # model's word table / rng machinery; a real deployment loads
@@ -91,7 +90,6 @@ class LayoutExtractor:
         self.prompt = prompt
         self.params = dict(params or {})
         self.emit_spans = emit_spans
-        self.keep = keep_input_columns
         fake_layout_model(b"warmup")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -129,7 +127,7 @@ class LayoutExtractor:
         cols["engine"] = pa.array([self.ENGINE_ID] * n, pa.string())
         cols["processing_ms"] = pa.array(ms, pa.int64())
         cols["content_hash"] = pa.array(hashes, pa.string())
-        for k in self.keep:
+        for k in LINEAGE_COLUMNS:
             if k in batch.column_names:
                 cols[k] = batch[k]
         return pa.table(cols)
