@@ -51,6 +51,7 @@ def test_byte_identity_vs_direct(ray_session, mirror_pages_dir, dedup_df):
     for url in direct.index:
         assert got.loc[url, "extracted_text"] == direct.loc[url, "extracted_text"], url
         assert got.loc[url, "success"] == direct.loc[url, "success"], url
+        assert got.loc[url, "error"] == direct.loc[url, "error"], url
         assert got.loc[url, "content_hash"] == direct.loc[url, "content_hash"], url
 
 

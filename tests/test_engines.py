@@ -192,6 +192,90 @@ def test_stub_vlm_in_ray_actor_pool(ray_session, tiny_pages_dir):
     assert (ok["error_kind"] == "").all()
 
 
+# --- the one engine batch contract (T1) ---------------------------------
+
+_CREDS = {"api_key": "k", "api_host": "h"}
+
+
+def _vlm_schema() -> pa.Schema:
+    """RESULTS_SCHEMA without spans, plus the error classification right
+    after ``error``."""
+    from xs_vlm_ocr_ray.schema import RESULTS_SCHEMA
+
+    fields = [f for f in RESULTS_SCHEMA if f.name != "spans"]
+    at = [f.name for f in fields].index("error") + 1
+    fields[at:at] = [pa.field("error_kind", pa.string()), pa.field("retryable", pa.bool_())]
+    return pa.schema(fields)
+
+
+def _engine_cases():
+    from xs_vlm_ocr_ray.engines.retry import RetryingEngine
+    from xs_vlm_ocr_ray.pipelines.routed import RoutedExtractor
+    from xs_vlm_ocr_ray.schema import RESULTS_SCHEMA
+    from xs_vlm_ocr_ray.stages.extract_stage import HtmlExtractor
+    from xs_vlm_ocr_ray.stages.layout import LayoutExtractor
+
+    retry_schema = _vlm_schema().append(pa.field("attempts", pa.int32()))
+    # (engine factory, schema, engine per row, error per row) over the
+    # rows (2.5 KB html, empty, %PDF- payload)
+    return {
+        "html": (HtmlExtractor, RESULTS_SCHEMA, ["local_html"] * 3, ["", "empty_payload", ""]),
+        "layout": (LayoutExtractor, RESULTS_SCHEMA, ["layout_ocr"] * 3, ["", "empty_payload", ""]),
+        "routed": (
+            RoutedExtractor,
+            RESULTS_SCHEMA,
+            ["local_html", "local_html", "layout_ocr"],
+            ["", "empty_payload", ""],
+        ),
+        # 1 ms timeout: the 2.5 KB row's simulated cost (2 ms) exceeds it
+        "stub_vlm": (
+            lambda: StubVlmExtractor(params=_CREDS, row_timeout_ms=1),
+            _vlm_schema(),
+            ["stub_vlm"] * 3,
+            ["timeout after 1 ms", "", ""],
+        ),
+        # the escalated retry clears the timeout
+        "retry_stub_vlm": (
+            lambda: RetryingEngine(
+                StubVlmExtractor,
+                {"params": _CREDS, "row_timeout_ms": 1},
+                {"row_timeout_ms": 60_000},
+            ),
+            retry_schema,
+            ["stub_vlm"] * 3,
+            ["", "", ""],
+        ),
+    }
+
+
+@pytest.mark.parametrize("n_rows", [3, 0])
+@pytest.mark.parametrize("name", ["html", "layout", "routed", "stub_vlm", "retry_stub_vlm"])
+def test_engine_output_schema(name, n_rows):
+    """Every engine's output columns (names, order, Arrow types) are
+    pinned; the HTML, layout and routed engines emit exactly
+    RESULTS_SCHEMA, which RoutedExtractor's concat relies on."""
+    from xs_vlm_ocr_ray.stages.classify import classify_payload_kind
+
+    make, schema, engines, errors = _engine_cases()[name]
+    batch = classify_payload_kind(
+        pa.table(
+            {
+                "url": ["a", "b", "c"],
+                "html": pa.array(
+                    [b"<p>" + b"word " * 500 + b"</p>", b"", b"%PDF-1.4 stub"], pa.binary()
+                ),
+                "shard_id": pa.array([0, 0, 0], pa.int32()),
+                "row_idx": pa.array([0, 1, 2], pa.int64()),
+            }
+        )
+    ).slice(0, n_rows)
+    out = make()(batch)
+    assert out.schema.equals(schema), f"{out.schema}\n!=\n{schema}"
+    assert out["engine"].to_pylist() == engines[:n_rows]
+    assert out["error"].to_pylist() == errors[:n_rows]
+    assert out["url"].to_pylist() == ["a", "b", "c"][:n_rows]
+
+
 def test_config_watcher_survives_wrong_typed_reload(tmp_path):
     """A hot reload of valid JSON with wrong-TYPED fields (raw TypeError
     out of load_config, not EngineConfigError) keeps the last good

@@ -142,6 +142,16 @@ def test_stage3_near_dedup(ray_session, tmp_path):
     assert "_order" not in got.columns
 
 
+def test_near_dedup_needs_out_dir(tiny_pages_dir):
+    """Stage 3 runs over the curated store, so the in-memory path cannot
+    near-dedup: it must refuse up front rather than return a result
+    without ``n_final``."""
+    from xs_vlm_ocr_ray.pipelines.training import run_training_pipeline
+
+    with pytest.raises(ValueError, match="out_dir"):
+        run_training_pipeline(tiny_pages_dir, near_dedup=True)
+
+
 def test_training_max_per_domain(ray_session, tiny_pages_dir):
     """Per-site sampling cap: with max_per_domain=1, each of the
     fixture's 97 domains contributes at most one curated row."""

@@ -9,9 +9,11 @@ active-engine-fallback-to-first-initialized rule
 (src/ui/MainWindow.cpp:960-975) maps to ``pick_model``.
 
 User extension surface (§2.11): ``REGISTRY.register("my_engine", Cls)``
-— the class must accept ``(prompt, params, **kwargs)`` constructor
-kwargs and be a `map_batches`-callable over pyarrow batches that emits
-the results columns (see stages/extract_stage.py / engines/vlm_stub.py).
+— subclass ``stages.extract_stage.BatchExtractor`` (constructor
+``(prompt, params, **kwargs)``) and implement its per-row
+``_extract_one``; the base class's one batch loop emits the results
+columns (``schema.RESULTS_SCHEMA``). See ``HtmlExtractor``,
+``stages/layout.py`` and ``engines/vlm_stub.py``.
 """
 
 from __future__ import annotations

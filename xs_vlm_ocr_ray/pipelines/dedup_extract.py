@@ -17,7 +17,10 @@ Ray-native design (scale notes, 100 TB design point):
   to binary payloads;
 - the global collapse is a single ``groupby(dedup_key).map_groups``:
   each group extracts ONCE (from any payload-bearing member — payloads
-  are identical by hash) and fans the text out to every member row;
+  are identical by hash) and fans the text out to every member row. The
+  extraction is the HTML engine's own (``HtmlExtractor``, built once
+  per Dataset), so a page larger than its ``segment_bytes`` takes the
+  engine's one in-task split path here too;
 - empty payloads hash to "" in the output but are salted to singleton
   shuffle keys (``~e~shard~row``) so a 100 TB corpus's millions of empty
   rows do not converge on one hot reducer (skew guard);
@@ -31,14 +34,12 @@ Ray-native design (scale notes, 100 TB design point):
 from __future__ import annotations
 
 import os
-import time
 
 import pandas as pd
 import pyarrow as pa
 
 import ray.data as rd
 
-from ..extract import extract_html
 from ..functions.hashing import content_hash_batch
 from ..sources.pages import read_pages
 from ..stages.extract_stage import HtmlExtractor, binary_views
@@ -135,10 +136,11 @@ def _cache_rows(cache_results_dir: str) -> rd.Dataset:
     return cache.map_batches(fn, batch_format="pyarrow")
 
 
-def _extract_group(df: pd.DataFrame) -> pd.DataFrame:
+def _extract_group(df: pd.DataFrame, engine: HtmlExtractor) -> pd.DataFrame:
     """One hash group → one result row per member url.
 
-    Extraction happens at most once; cache rows short-circuit it."""
+    Extraction happens at most once, through ``engine`` on the keeper's
+    payload; cache rows short-circuit it."""
     rows = df[df["kind"] == "row"]
     if rows.empty:  # pure-cache group (hash absent from this run's input)
         # TYPED empty: pd.DataFrame(columns=...) makes every column
@@ -157,16 +159,17 @@ def _extract_group(df: pd.DataFrame) -> pd.DataFrame:
         error = cache.iloc[0]["cached_error"] or ""
         ms = 0
     else:
-        payload = None
-        for p in rows["html"]:
-            if p is not None and len(p) > 0:
-                payload = p
-                break
-        t0 = time.perf_counter_ns()
-        r = extract_html(payload)
-        ms = (time.perf_counter_ns() - t0) // 1_000_000
-        success, error = r.success, r.error
-        text = r.full_text if r.success else ""
+        # any payload-bearing member will do: payloads are identical by hash
+        payload = next((p for p in rows["html"] if p is not None and len(p) > 0), None)
+        keeper = pa.table(
+            {
+                "url": pa.array([rows["url"].iloc[0]], pa.string()),
+                "html": pa.array([payload], pa.binary()),
+            }
+        )
+        r = engine(keeper).to_pylist()[0]
+        text, success, error = r["extracted_text"], r["success"], r["error"]
+        ms = r["processing_ms"]
     out = {
         "url": rows["url"].to_numpy(),
         "extracted_text": [text] * len(rows),
@@ -174,8 +177,7 @@ def _extract_group(df: pd.DataFrame) -> pd.DataFrame:
         "error": [error] * len(rows),
         "engine": [HtmlExtractor.ENGINE_ID] * len(rows),
         # keeper pays the compute; every other member is a hit at 0 ms
-        "processing_ms": [ms if not from_cache else 0]
-        + [0] * (len(rows) - 1),
+        "processing_ms": [ms] + [0] * (len(rows) - 1),
         "content_hash": rows["content_hash"].to_numpy(),
         "shard_id": rows["shard_id"].to_numpy(),
         "row_idx": rows["row_idx"].to_numpy(),
@@ -200,7 +202,6 @@ _RESULT_DTYPES = {
     "dedup_hit": "bool",
     "from_cache": "bool",
 }
-_RESULT_COLS = list(_RESULT_DTYPES)
 
 
 def build_dedup_extract_ds(
@@ -216,6 +217,9 @@ def build_dedup_extract_ds(
     )
     if cache_results_dir is not None:
         hashed = hashed.union(_cache_rows(cache_results_dir))
+    # one HTML engine for every group: the keeper payload takes the
+    # engine's own per-row path, giant-document split included
+    engine = HtmlExtractor(prompt, params, emit_spans=False)
     return hashed.groupby("dedup_key").map_groups(
-        _extract_group, batch_format="pandas"
+        _extract_group, batch_format="pandas", fn_kwargs={"engine": engine}
     )

@@ -306,6 +306,10 @@ def run_training_pipeline(
 
     if decontam_mode not in ("drop", "mark"):
         raise ValueError(f"decontam_mode must be 'drop' or 'mark' (got {decontam_mode!r})")
+    if near_dedup and out_dir is None:
+        # stage 3 reads the curated store under out_dir; the in-memory
+        # path has no store to read
+        raise ValueError("near_dedup=True needs out_dir (stage 3 runs over the curated store)")
 
     # input count from a column-pruned read — never re-run extraction
     # just to count its input

@@ -1,19 +1,28 @@
-"""The heavy extraction stage: a stateful actor-pool `map_batches` class.
+"""The heavy extraction stage: the one engine batch contract and the
+HTML engine, a stateful actor-pool `map_batches` class.
 
 This is the Ray-native restatement of the reference's engine-adapter
 lifecycle (SURVEY.md T1, src/core/ModelAdapter.h:31-38): everything the
 adapter's ``initialize()`` did once per engine — compile patterns, build
 parser state, pin model weights — happens once per actor in
-``__init__``; ``recognize()`` becomes the vectorized ``__call__`` over an
-Arrow batch. One actor per pool slot replaces the reference's
-mutex-serialized shared adapter (src/adapters/QwenAdapter.cpp:484) — the
-pool parallelizes by construction.
+``__init__``; ``recognize()`` becomes the per-row ``_extract_one``, and
+one ``BatchExtractor.__call__``, which every engine subclasses, builds
+the results columns (the reference's one ``OCRResult``,
+``schema.RESULTS_SCHEMA``). One actor per pool slot replaces the
+reference's mutex-serialized shared adapter
+(src/adapters/QwenAdapter.cpp:484) — the pool parallelizes by
+construction.
 
 Error model: in-band ``success/error`` columns, never exceptions
 (reference semantics, src/adapters/QwenAdapter.cpp:538-545). Giant
 documents are segmented *inside* the task via ``split_html`` (exact, see
 extract.py) so per-row working memory stays bounded; this in-task split
-is the engine's only giant-document path.
+is the engine's only giant-document path, dedup-gated extraction
+included.
+
+``perfbench --trace 1`` wraps ``extract_html``, ``split_html``,
+``_assemble``, ``spans_column`` and ``content_hash_batch`` here by name:
+keep them module globals that the loop looks up at call time.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import pyarrow.compute as pc
 
 from ..extract import ExtractResult, extract_html, split_html
 from ..functions.hashing import content_hash_batch
-from ..schema import HTML_ENGINE_CONFIDENCE, LINEAGE_COLUMNS, SPAN_TYPE
+from ..schema import HTML_ENGINE_CONFIDENCE, LINEAGE_COLUMNS, RESULTS_SCHEMA, SPAN_TYPE
 
 
 def binary_views(col: pa.ChunkedArray | pa.Array) -> list[memoryview | None]:
@@ -100,12 +109,83 @@ def spans_column(all_span_texts: list[list[str]], confidence: float = HTML_ENGIN
     return pa.LargeListArray.from_arrays(pa.array(offsets, pa.int64()), struct)
 
 
-class HtmlExtractor:
-    """Actor-pool batch kernel: pages batch in → results columns out.
+class BatchExtractor:
+    """The one engine batch contract: pages batch in → results columns out.
 
-    Pass the CLASS to ``map_batches(HtmlExtractor, fn_constructor_kwargs=...,
-    concurrency=N, batch_size=B)``.
+    Every engine subclasses this and implements only ``_extract_one``,
+    its per-row extraction. This loop owns the rest: zero-copy payload
+    views, per-row timing into ``processing_ms``, one
+    ``content_hash_batch`` call per batch, the results columns (names,
+    order and types from ``RESULTS_SCHEMA``; ``spans`` only when the
+    engine emits spans) and the lineage copy. Pass the CLASS to
+    ``map_batches(Cls, fn_constructor_kwargs=..., concurrency=N)``.
     """
+
+    ENGINE_ID = ""
+    emit_spans = False
+
+    def __init__(self, prompt: str = "", params: dict[str, str] | None = None):
+        self.prompt = prompt
+        self.params = dict(params or {})
+
+    def _extract_one(self, payload: memoryview | None) -> tuple[bool, str, str, list, int]:
+        """One row → (success, error, text, spans, simulated_ms): ``spans``
+        feed ``_spans_array``; ``simulated_ms`` is model latency added to
+        the measured time (0 for local engines)."""
+        raise NotImplementedError
+
+    def _spans_array(self, all_spans: list[list]) -> pa.Array:
+        # rows of span dicts with SPAN_TYPE's keys
+        return pa.array(all_spans, RESULTS_SCHEMA.field("spans").type)
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        payloads = binary_views(batch["html"])
+        n = len(payloads)
+        success = [False] * n
+        error = [""] * n
+        texts = [""] * n
+        all_spans: list[list] = [[]] * n
+        ms = [0] * n
+        extract_one = self._extract_one
+        emit_spans = self.emit_spans
+        perf = time.perf_counter_ns
+        for i, p in enumerate(payloads):
+            t0 = perf()
+            ok, err, text, spans, sim_ms = extract_one(p)
+            success[i] = ok
+            error[i] = err
+            texts[i] = text
+            if emit_spans:
+                all_spans[i] = spans
+            ms[i] = sim_ms + (perf() - t0) // 1_000_000
+
+        values = {
+            "extracted_text": texts,
+            "success": success,
+            "error": error,
+            "engine": [self.ENGINE_ID] * n,
+            "processing_ms": ms,
+            "content_hash": content_hash_batch(
+                payloads, self.prompt, self.ENGINE_ID, self.params
+            ),
+        }
+        # RESULTS_SCHEMA's names, order and types; url and the lineage
+        # columns are the input batch's own
+        cols: dict[str, pa.Array] = {"url": batch["url"]}
+        for f in RESULTS_SCHEMA:
+            if f.name in values:
+                cols[f.name] = pa.array(values[f.name], f.type)
+            elif f.name == "spans" and emit_spans:
+                cols["spans"] = self._spans_array(all_spans)
+        for k in LINEAGE_COLUMNS:
+            if k in batch.column_names:
+                cols[k] = batch[k]
+        return pa.table(cols)
+
+
+class HtmlExtractor(BatchExtractor):
+    """The HTML boilerplate-strip engine; giant payloads are split
+    (exactly) into ``segment_bytes`` segments inside the task."""
 
     ENGINE_ID = "local_html"
 
@@ -118,67 +198,36 @@ class HtmlExtractor:
     ):
         # Per-actor setup (once): warm the module-level compiled regexes
         # and freeze config. The analog of adapter initialize() (T1).
-        self.prompt = prompt
-        self.params = dict(params or {})
+        super().__init__(prompt, params)
         self.emit_spans = emit_spans
         self.segment_bytes = segment_bytes
         extract_html(b"<p>warmup</p>")
 
-    def _extract_one(
-        self, payload: bytes | memoryview | None
-    ) -> tuple[bool, str, list[str]]:
+    def _extract_one(self, payload: memoryview | None) -> tuple[bool, str, str, list[str], int]:
         if payload is not None and len(payload) > self.segment_bytes:
-            texts: list[str] = []
+            span_texts: list[str] = []
             # rare giant-doc path: split_html needs real bytes
             for seg in split_html(bytes(payload), self.segment_bytes):
                 r = extract_html(seg)
                 if not r.success:
-                    return False, r.error, []
-                texts.extend(r.span_texts)
-            return True, "", texts
-        r = extract_html(payload)
-        return r.success, r.error, r.span_texts
+                    return False, r.error, "", [], 0
+                span_texts.extend(r.span_texts)
+        else:
+            r = extract_html(payload)
+            if not r.success:
+                return False, r.error, "", [], 0
+            span_texts = r.span_texts
+        # assembled full text: reading-order merge + final trim
+        # (byte-exact contract lives in extract.py / textnorm.py)
+        return True, "", _assemble(span_texts), span_texts, 0
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = binary_views(batch["html"])
-        n = len(payloads)
-        success = [False] * n
-        error = [""] * n
-        texts = [""] * n
-        all_spans: list[list[str]] = [[]] * n
-        ms = [0] * n
-        perf = time.perf_counter_ns
-        for i, p in enumerate(payloads):
-            t0 = perf()
-            ok, err, span_texts = self._extract_one(p)
-            success[i] = ok
-            error[i] = err
-            if ok:
-                if self.emit_spans:
-                    all_spans[i] = span_texts
-                # assembled full text: reading-order merge + final trim
-                # (byte-exact contract lives in extract.py / textnorm.py)
-                texts[i] = _assemble(span_texts)
-            ms[i] = (perf() - t0) // 1_000_000
-
-        hashes = content_hash_batch(payloads, self.prompt, self.ENGINE_ID, self.params)
-        cols: dict[str, pa.Array] = {"url": batch["url"]}
-        cols["extracted_text"] = pa.array(texts, pa.large_string())
-        if self.emit_spans:
-            cols["spans"] = spans_column(all_spans)
-        cols["success"] = pa.array(success, pa.bool_())
-        cols["error"] = pa.array(error, pa.string())
-        cols["engine"] = pa.array([self.ENGINE_ID] * n, pa.string())
-        cols["processing_ms"] = pa.array(ms, pa.int64())
-        cols["content_hash"] = pa.array(hashes, pa.string())
-        for k in LINEAGE_COLUMNS:
-            if k in batch.column_names:
-                cols[k] = batch[k]
-        return pa.table(cols)
+    def _spans_array(self, all_spans: list[list[str]]) -> pa.Array:
+        return spans_column(all_spans)
 
 
 def _assemble(span_texts: list[str]) -> str:
     # the byte-exact assembly contract lives in ONE place:
     # ExtractResult.full_text (extract.py) — this thin alias exists so
-    # the stage can assemble from split-segment span lists too
+    # every engine assembles through it, from split-segment span lists
+    # and layout blocks too
     return ExtractResult(True, "", span_texts).full_text

@@ -12,9 +12,11 @@ the REAL, tested machinery is everything around the model —
 - page segmentation: the fake model emits blocks with bboxes in
   ARBITRARY order (as real detectors do);
 - reading-order sort: the total key (y0, x0, detection index) —
-  SURVEY.md §7.4 hard part 2 — then span assembly via the same
-  byte-exact ``merge_full_text`` the HTML engine uses;
-- in-band errors for undecodable payloads.
+  SURVEY.md §7.4 hard part 2 — then span assembly through the same
+  byte-exact ``_assemble`` (``ExtractResult.full_text``) the HTML
+  engine uses;
+- in-band errors for undecodable payloads; the results columns come
+  from the shared ``BatchExtractor`` loop (stages/extract_stage.py).
 
 The fake model derives block count/geometry/text deterministically from
 the payload bytes (blake2b-seeded), so outputs are stable across runs,
@@ -25,13 +27,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-import time
 
-import pyarrow as pa
-
-from ..functions.hashing import content_hash_batch
-from ..functions.textnorm import merge_full_text, qt_trim
-from ..schema import LINEAGE_COLUMNS, SPAN_TYPE
+from .extract_stage import BatchExtractor, _assemble
 
 _WORDS = (
     "invoice total page section table figure heading paragraph line "
@@ -73,7 +70,7 @@ def reading_order(blocks: list[dict]) -> list[int]:
     )
 
 
-class LayoutExtractor:
+class LayoutExtractor(BatchExtractor):
     """Actor-pool engine for binary payloads (payload_kind pdf/image)."""
 
     ENGINE_ID = "layout_ocr"
@@ -87,47 +84,13 @@ class LayoutExtractor:
         # T1: "pin the model weights once per actor" — here the fake
         # model's word table / rng machinery; a real deployment loads
         # the detector + OCR weights exactly here.
-        self.prompt = prompt
-        self.params = dict(params or {})
+        super().__init__(prompt, params)
         self.emit_spans = emit_spans
         fake_layout_model(b"warmup")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from .extract_stage import binary_views
-
-        payloads = binary_views(batch["html"])  # zero-copy Arrow views
-        n = len(payloads)
-        success = [False] * n
-        error = [""] * n
-        texts = [""] * n
-        spans_col: list[list[dict]] = [[]] * n
-        ms = [0] * n
-        for i, p in enumerate(payloads):
-            t0 = time.perf_counter_ns()
-            if p is None or len(p) == 0:
-                error[i] = "empty_payload"
-            else:
-                blocks = fake_layout_model(p)
-                order = reading_order(blocks)
-                ordered = [blocks[j] for j in order]
-                success[i] = True
-                texts[i] = qt_trim(merge_full_text([b["text"] for b in ordered]))
-                if self.emit_spans:
-                    spans_col[i] = ordered
-            ms[i] = (time.perf_counter_ns() - t0) // 1_000_000
-        hashes = content_hash_batch(payloads, self.prompt, self.ENGINE_ID, self.params)
-        cols: dict[str, pa.Array] = {
-            "url": batch["url"],
-            "extracted_text": pa.array(texts, pa.large_string()),
-        }
-        if self.emit_spans:
-            cols["spans"] = pa.array(spans_col, pa.large_list(SPAN_TYPE))
-        cols["success"] = pa.array(success, pa.bool_())
-        cols["error"] = pa.array(error, pa.string())
-        cols["engine"] = pa.array([self.ENGINE_ID] * n, pa.string())
-        cols["processing_ms"] = pa.array(ms, pa.int64())
-        cols["content_hash"] = pa.array(hashes, pa.string())
-        for k in LINEAGE_COLUMNS:
-            if k in batch.column_names:
-                cols[k] = batch[k]
-        return pa.table(cols)
+    def _extract_one(self, payload: memoryview | None) -> tuple[bool, str, str, list[dict], int]:
+        if payload is None or len(payload) == 0:
+            return False, "empty_payload", "", [], 0
+        blocks = fake_layout_model(payload)
+        ordered = [blocks[j] for j in reading_order(blocks)]
+        return True, "", _assemble([b["text"] for b in ordered]), ordered, 0
