@@ -59,14 +59,13 @@ def test_byte_identity_vs_golden(extract_out):
 
 def test_spans_reassemble_to_text(extract_out):
     out, _ = extract_out
-    from xs_vlm_ocr_ray.functions.textnorm import assemble_text, qt_trim
+    from xs_vlm_ocr_ray.stages.extract_stage import _assemble
 
     df = _results_df(out)
     ok = df[df["success"]]
     assert len(ok) > 0
     for _, row in ok.head(50).iterrows():
-        spans = [(s["text"], s["x0"], s["y0"]) for s in row["spans"]]
-        assert qt_trim(assemble_text(spans)) == row["extracted_text"]
+        assert _assemble([s["text"] for s in row["spans"]]) == row["extracted_text"]
 
 
 def test_in_task_split_matches_unsplit(ray_session, tiny_pages_dir):

@@ -1,7 +1,6 @@
 """Byte-exactness of the normalizer chain (reference M15-M17, M20, K4)."""
 
 from xs_vlm_ocr_ray.functions.textnorm import (
-    assemble_text,
     csv_escape,
     html_escape_text,
     merge_full_text,
@@ -48,14 +47,6 @@ class TestMerge:
     def test_skips_blank_after_trim_but_joins_untrimmed(self):
         # OCRResult.h:33-41 — emptiness test trims, the join does not
         assert merge_full_text(["a ", "  ", "", "b"]) == "a \nb"
-
-    def test_assemble_total_order(self):
-        spans = [("c", 0.0, 0.5), ("a", 0.0, 0.1), ("b", 0.5, 0.1)]
-        assert assemble_text(spans) == "a\nb\nc"
-
-    def test_assemble_tie_break_stable(self):
-        spans = [("x", 0.0, 0.5), ("y", 0.0, 0.5)]
-        assert assemble_text(spans) == "x\ny"
 
 
 def test_preview():

@@ -130,6 +130,27 @@ def test_sessionize_ds_matches_wrapper(events_ds):
     pd.testing.assert_frame_equal(got, sessionize(events_ds))
 
 
+def test_sessionize_string_keys_equal_integer_keys(events_ds):
+    """String user ids bucket by their utf-8 hash: the sessions equal the
+    integer-keyed ones, key for key."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from xs_vlm_ocr_ray.stages.window import sessionize
+
+    def to_str(t: pa.Table) -> pa.Table:
+        i = t.schema.get_field_index("user_id")
+        keys = pc.binary_join_element_wise("usér-", pc.cast(t["user_id"], pa.string()), "")
+        return t.set_column(i, "user_id", keys)
+
+    want = sessionize(events_ds)
+    want["user_id"] = "usér-" + want["user_id"].astype(str)
+    want = want.sort_values(["user_id", "session_id"]).reset_index(drop=True)
+    got = sessionize(events_ds.map_batches(to_str, batch_format="pyarrow"))
+    assert len(got) > 100
+    pd.testing.assert_frame_equal(got, want)
+
+
 def test_seeded_sample_deterministic(events_ds):
     a = events_ds.random_sample(0.1, seed=42).to_pandas()
     b = events_ds.random_sample(0.1, seed=42).to_pandas()

@@ -17,6 +17,15 @@ split-extraction == whole-extraction).
 
 Error model: in-band, never raised (reference semantics — errors flow
 through the record, src/adapters/QwenAdapter.cpp:538-545).
+
+Kernel: the scan runs in a C port of ``_scan`` (``csrc/scankernel.c``),
+built once at first import by ``native.load`` and cached in the package
+directory. The C scanner is a character loop over the str's own buffer
+that materializes only kept block texts, and it reports split points
+directly as utf-8 byte offsets. When it cannot be built, the Python
+``_scan`` runs instead, one WARNING is logged, and ``SCAN_KERNEL`` reads
+``"python"`` (else ``"native"``). ``_scan`` stays the reference that
+tests/test_scan_equivalence.py holds the C scanner to, byte for byte.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ import html as _htmlmod
 import re
 from dataclasses import dataclass, field
 
+from . import native
 from .functions.textnorm import merge_full_text, qt_trim
 
 # Tags that delimit text blocks (flushing the current block).
@@ -80,6 +90,7 @@ LONG_BLOCK_LINK_DENSITY_MAX = 2 / 3
 
 
 def _keep_block(total_chars: int, link_chars: int) -> bool:
+    # csrc/scankernel.c keep_block states the same rule
     if total_chars == 0:
         return False
     if link_chars * 3 <= total_chars:
@@ -117,7 +128,7 @@ def extract_html(payload: bytes | memoryview | None) -> ExtractResult:
             doc = str(payload, "utf-8", "replace")
         except Exception:  # pragma: no cover - replace cannot fail
             return ExtractResult(False, "decode_error")
-    return ExtractResult(True, "", _scan(doc))
+    return ExtractResult(True, "", _scan_spans(doc))
 
 
 def _scan(doc: str, cuts: list[int] | None = None) -> list[str]:
@@ -131,10 +142,12 @@ def _scan(doc: str, cuts: list[int] | None = None) -> list[str]:
     state after it equals the state of a fresh scan starting at it —
     the cut points ``split_html`` chooses from.
 
-    Implementation note: a `str.find`-based pointer walk, byte-equivalent
-    to tokenizing with ``<!--.*?(?:-->|$)|<[^>]*>|[^<]+`` but ~2× faster
-    and far lighter on allocations — only text runs are materialized;
-    tag tokens are inspected in place via positional regex match.
+    This is the reference implementation and the fallback: the
+    production path runs its C port (``_scan_spans`` / ``_cut_offsets``,
+    see the module docstring), which must match it exactly. It is a
+    `str.find`-based pointer walk, byte-equivalent to tokenizing with
+    ``<!--.*?(?:-->|$)|<[^>]*>|[^<]+``; only text runs are materialized
+    and tag tokens are inspected in place via positional regex match.
     Equivalences preserved exactly (golden-gated):
     - an unterminated ``<`` (no closing ``>``) is skipped as a single
       char and scanning resumes — the regex alternation does the same
@@ -234,7 +247,7 @@ def split_html(payload: bytes, max_bytes: int) -> list[bytes]:
     """Split a giant document into segments at neutral block boundaries
     such that ``concat(extract(seg).span_texts) == extract(whole).span_texts``.
 
-    Cut points come from ``_scan`` itself: the start of every block tag
+    Cut points come from the scanner itself: the start of every block tag
     the scanner reaches at boiler depth 0 outside suppression, where its
     state equals that of a fresh scan, so extracting each segment
     independently is exact. A segment is cut at the first such point at
@@ -253,18 +266,39 @@ def split_html(payload: bytes, max_bytes: int) -> list[bytes]:
         doc = payload.decode("utf-8")
     except UnicodeDecodeError:
         return [payload]
-    points: list[int] = []
-    _scan(doc, points)
     # segment size is measured in encoded BYTES (the contract), not
     # characters: a CJK-heavy doc is ~3 bytes/char
     segs: list[bytes] = []
-    start = 0      # byte offset where the current segment starts
-    at = prev = 0  # byte / char offset of the last point seen
-    for p in points:
-        at += len(doc[prev:p].encode("utf-8"))
-        prev = p
+    start = 0  # byte offset where the current segment starts
+    for at in _cut_offsets(doc):
         if at - start >= max_bytes and at > start:
             segs.append(payload[start:at])
             start = at
     segs.append(payload[start:])
     return segs
+
+
+def _cut_offsets_py(doc: str) -> list[int]:
+    """``_scan``'s cut points as utf-8 byte offsets (the C kernel's
+    ``cuts`` output, computed in Python)."""
+    points: list[int] = []
+    _scan(doc, points)
+    offsets: list[int] = []
+    at = prev = 0  # byte / char offset of the last point seen
+    for p in points:
+        at += len(doc[prev:p].encode("utf-8"))
+        prev = p
+        offsets.append(at)
+    return offsets
+
+
+# The scan kernel, chosen once per process: the C port when it builds,
+# else the Python reference (native.load has logged why).
+_native = native.load("scankernel")
+if _native is not None:
+    _native.init(_BLOCK_TAGS, _BOILER_TAGS, _SUPPRESS_TAGS, _unescape)
+    _scan_spans, _cut_offsets = _native.spans, _native.cuts
+    SCAN_KERNEL = "native"
+else:
+    _scan_spans, _cut_offsets = _scan, _cut_offsets_py
+    SCAN_KERNEL = "python"

@@ -9,11 +9,18 @@ reference returns a null hash for a null image → no dedup).
 
 The vectorized form is used inside ``map_batches`` so hashing never
 round-trips through Python rows on the driver.
+
+Also here: ``splitmix64`` and ``utf8_hash64``, the stable key hashes the
+bucketing stages use, so no result depends on a pandas hash.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 _SECRET_KEYS = frozenset({"api_key", "secret_key", "access_token"})
 
@@ -71,3 +78,40 @@ def content_hash_batch(
         out.append(h.hexdigest())
     return out
 
+
+# Stable (process- and version-independent) key hashes for bucketing.
+GOLDEN64 = np.uint64(0x9E3779B97F4A7C15)
+
+
+def splitmix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, elementwise over ``uint64`` (wrapping)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def utf8_hash64(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """A process- and version-stable ``uint64`` hash per value of a
+    string or binary column (other types hash their string cast; null
+    hashes as empty): byte ``b`` at offset ``i`` of a value contributes
+    ``splitmix64(i << 8 | b)``, the contributions are summed (wrapping)
+    per value by cumsum differences, and the sum is finalized with the
+    value's byte length."""
+    t = col.type
+    if not (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+        col = pc.cast(col, pa.large_string())
+    arr = pc.fill_null(pc.cast(col, pa.large_binary()), b"")
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    bufs = arr.buffers()
+    offs = np.frombuffer(bufs[1], np.int64, count=arr.offset + len(arr) + 1)[arr.offset:]
+    data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None else np.empty(0, np.uint8)
+    data = data[offs[0] : offs[-1]]
+    offs = offs - offs[0]
+    lens = np.diff(offs)
+    at = np.arange(len(data), dtype=np.int64) - np.repeat(offs[:-1], lens)
+    z = splitmix64((at.astype(np.uint64) << np.uint64(8)) | data.astype(np.uint64))
+    cs = np.zeros(len(data) + 1, dtype=np.uint64)
+    np.cumsum(z, out=cs[1:])
+    return splitmix64(cs[offs[1:]] - cs[offs[:-1]] + lens.astype(np.uint64) * GOLDEN64)

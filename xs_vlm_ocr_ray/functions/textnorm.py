@@ -63,16 +63,6 @@ def merge_full_text(span_texts: list[str]) -> str:
     return "\n".join(t for t in span_texts if t.strip())
 
 
-def assemble_text(spans: list[tuple[str, float, float]]) -> str:
-    """Deterministic reading-order assembly: sort spans by a TOTAL key
-    ``(y0, x0, original index)`` then merge (SURVEY.md §7.4 hard part 2).
-
-    ``spans`` is a list of ``(text, x0, y0)``.
-    """
-    ordered = sorted(range(len(spans)), key=lambda i: (spans[i][2], spans[i][1], i))
-    return merge_full_text([spans[i][0] for i in ordered])
-
-
 def preview(text: str, n: int = 50) -> str:
     """First ``n`` chars, newlines→spaces, ellipsis when truncated;
     ``"[无文字]"`` for empty (src/ui/MainWindow.cpp:2130-2135)."""

@@ -25,6 +25,7 @@ import pyarrow as pa
 from ..functions.hashing import content_hash_batch
 from ..pipelines.routed import RoutedExtractor
 from ..stages.classify import classify_payload_kind
+from ..stages.extract_stage import binary_views
 
 
 class MicroBatchSession:
@@ -40,8 +41,7 @@ class MicroBatchSession:
     def process(self, batch: pa.Table) -> pa.Table:
         """One micro-batch of pages (url, html) → results for the rows
         that survived the last-value dedup (possibly empty)."""
-        payloads = batch["html"].to_pylist()
-        hashes = content_hash_batch(payloads)
+        hashes = content_hash_batch(binary_views(batch["html"]))
         keep: list[int] = []
         last = self._last_hash
         for i, h in enumerate(hashes):

@@ -20,6 +20,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from ..functions.hashing import splitmix64
+
 
 def _unit(m: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(m, axis=-1, keepdims=True)
@@ -117,10 +119,7 @@ def ivf_train_centroids(
 
         def partial(t: pa.Table) -> pa.Table:
             ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-            z = ids + np.uint64(seed * 0x9E3779B97F4A7C15 % (1 << 64))
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            pri = z ^ (z >> np.uint64(31))
+            pri = splitmix64(ids + np.uint64(seed * 0x9E3779B97F4A7C15 % (1 << 64)))
             if len(pri) > sample_rows:
                 idx = np.argpartition(pri, sample_rows - 1)[:sample_rows]
             else:

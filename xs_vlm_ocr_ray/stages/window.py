@@ -35,12 +35,15 @@ sort).
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
+
+from ..functions.hashing import utf8_hash64
 
 
 # --- tumbling window aggregate ------------------------------------------
@@ -150,15 +153,9 @@ def sessionize_ds(
                 pa.int32(),
             )
         else:
-            # non-numeric keys: deterministic vectorized hash (stable
-            # across processes for a fixed pandas version — the cluster
-            # runs one env). Bucketing only needs same-user→same-bucket.
-            import pandas as _pd
-
-            h = _pd.util.hash_pandas_object(
-                t[user_col].to_pandas(), index=False, hash_key="0123456789123456"
-            )
-            b = pa.array((h.to_numpy() % buckets).astype("int32"))
+            # non-numeric keys: a stable hash of the key's utf-8 bytes.
+            # Bucketing only needs same-user→same-bucket.
+            b = pa.array((utf8_hash64(t[user_col]) % np.uint64(buckets)).astype(np.int32))
         return t.append_column("_bucket", b)
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
