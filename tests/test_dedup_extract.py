@@ -105,3 +105,45 @@ def test_cache_tier_short_circuits(ray_session, mirror_pages_dir, dedup_df, tmp_
     merged = again.set_index("url")["extracted_text"]
     orig = dedup_df.set_index("url")["extracted_text"]
     assert (merged.loc[orig.index] == orig).all()
+
+
+def test_extract_group_hashes_nothing(monkeypatch):
+    """A hash group's keeper runs the engine's per-row extraction only:
+    the payload was hashed before the shuffle, so the engine's batch
+    hash (``content_hash_batch``) must never run here. Output equals a
+    serial ``extract_html`` of the keeper payload."""
+    import pandas as pd
+
+    from xs_vlm_ocr_ray.extract import extract_html
+    from xs_vlm_ocr_ray.fixtures import pages_table
+    from xs_vlm_ocr_ray.pipelines.dedup_extract import _extract_group
+    from xs_vlm_ocr_ray.stages import extract_stage
+
+    def boom(*_a, **_k):
+        raise AssertionError("content_hash_batch called in _extract_group")
+
+    monkeypatch.setattr(extract_stage, "content_hash_batch", boom)
+    engine = extract_stage.HtmlExtractor(emit_spans=False)
+    page = pages_table(range(1), seed=42).to_pylist()[0]
+    for payload in (page["html"], b""):
+        group = pd.DataFrame(
+            {
+                "dedup_key": ["k", "k"],
+                "content_hash": ["h", "h"],
+                "url": ["u1", "u0"],
+                "shard_id": pd.Series([0, 0], dtype="int32"),
+                "row_idx": pd.Series([1, 0], dtype="int64"),
+                "html": [None, payload],
+                "kind": ["row", "row"],
+                "cached_text": [None, None],
+                "cached_success": [None, None],
+                "cached_error": [None, None],
+            }
+        )
+        got = _extract_group(group, engine)
+        want = extract_html(payload if payload else None)
+        assert list(got["url"]) == ["u0", "u1"]  # min-lineage keeper first
+        assert (got["extracted_text"] == (want.full_text if want.success else "")).all()
+        assert (got["success"] == want.success).all()
+        assert (got["error"] == want.error).all()
+        assert list(got["dedup_hit"]) == [False, True]

@@ -315,3 +315,82 @@ def test_stage3_near_dedup_distributed_route(ray_session, tmp_path):
     import pandas as pd
 
     pd.testing.assert_frame_equal(a, b[a.columns])
+
+
+@pytest.mark.parametrize("mode", ["drop", "mark"])
+def test_training_paths_share_one_tail(ray_session, tiny_pages_dir, tmp_path, mode):
+    """The in-memory and the resumable run execute one stage-2 tail:
+    with blocklist, per-domain cap and decontamination on, both return
+    the same gate counts, and the resumable curated store holds exactly
+    the in-memory tail's rows."""
+    import pandas as pd
+
+    import ray.data as rd
+    from xs_vlm_ocr_ray.pipelines.training import (
+        _curate,
+        _stage1_checkpoint,
+        build_training_ds,
+        run_training_pipeline,
+    )
+
+    blocklist = ["site0.example"]
+    lineage = ["shard_id", "row_idx"]
+    capped = build_training_ds(tiny_pages_dir, max_per_domain=2, blocklist=blocklist)
+    capped = capped.to_pandas().sort_values(lineage)
+    bench = [capped[capped["n_tokens"] >= 50]["extracted_text"].iloc[0]]
+    kw = dict(blocklist=blocklist, max_per_domain=2, decontam_texts=bench,
+              decontam_mode=mode)
+
+    mem = run_training_pipeline(tiny_pages_dir, **kw)
+    res = run_training_pipeline(tiny_pages_dir, out_dir=str(tmp_path / "cur"), **kw)
+    keys = ("n_input", "n_blocked", "n_contaminated", "n_curated")
+    assert {k: mem[k] for k in keys} == {k: res[k] for k in keys}
+    assert res["n_input"] == 200 and res["n_blocked"] == 3
+    assert res["n_contaminated"] >= 1
+
+    gates: dict = {}
+    tail = _curate(
+        _stage1_checkpoint(tiny_pages_dir, 0.5, 20, blocklist), max_per_domain=2,
+        decontam_texts=bench, decontam_mode=mode, gates=gates,
+    )
+    want = tail.to_pandas().sort_values(lineage).reset_index(drop=True)
+    got = rd.read_parquet(str(tmp_path / "cur" / "curated")).to_pandas()
+    got = got.sort_values(lineage).reset_index(drop=True)
+    assert gates["n_contaminated"] == res["n_contaminated"]
+    assert len(got) == res["n_curated"]
+    assert ("contaminated" in got.columns) == (mode == "mark")
+    pd.testing.assert_frame_equal(
+        got.drop(columns="processing_ms", errors="ignore"),
+        want.drop(columns="processing_ms", errors="ignore"),
+    )
+
+
+def test_n_input_counts_parquet_footers(ray_session, tmp_path):
+    """``n_input`` comes from the parquet footers: a shard of several
+    row groups and a zero-row shard count exactly as a url-only read."""
+    from xs_vlm_ocr_ray.fixtures import pages_table
+    from xs_vlm_ocr_ray.pipelines.training import run_training_pipeline
+    from xs_vlm_ocr_ray.sources.pages import read_pages
+
+    t = pages_table(range(50), seed=42)
+    pq.write_table(t, tmp_path / "shard-000.parquet", row_group_size=16)
+    assert pq.ParquetFile(tmp_path / "shard-000.parquet").num_row_groups == 4
+    pq.write_table(t.slice(0, 0), tmp_path / "shard-001.parquet")
+    pq.write_table(pages_table(range(50, 60), seed=42), tmp_path / "shard-002.parquet")
+
+    s = run_training_pipeline(str(tmp_path))
+    assert s["n_input"] == read_pages(str(tmp_path), columns=["url"]).count() == 60
+
+
+def test_resumable_reports_gates_when_nothing_survives(ray_session, tiny_pages_dir, tmp_path):
+    """Every row filtered in stage 1: the resumable run still reports
+    each enabled gate, with nothing curated."""
+    from xs_vlm_ocr_ray.pipelines.training import run_training_pipeline
+
+    s = run_training_pipeline(
+        tiny_pages_dir, out_dir=str(tmp_path / "cur"), min_quality=2.0,
+        blocklist=["site0.example"], decontam_texts=["some benchmark text"],
+    )
+    assert (s["n_input"], s["n_curated"], s["stage1_rows"]) == (200, 0, 0)
+    assert s["n_blocked"] == 3
+    assert s["n_contaminated"] == 0

@@ -1305,7 +1305,7 @@ WITH urls AS (
          END AS url, text
   FROM documents
 )
-SELECT LOWER(regexp_extract(url, '^[a-zA-Z][a-zA-Z0-9+.-]*://([^/:?#]+)', 1)) AS domain,
+SELECT RTRIM(LOWER(regexp_extract(url, '^[a-zA-Z][a-zA-Z0-9+.-]*://(?:[^/?#]*@)?([^/:?#]+)', 1)), '.') AS domain,
        CAST(SUM(CAST(LENGTH(text) AS BIGINT)) AS BIGINT) AS total_chars,
        CAST(COUNT(*) AS BIGINT) AS n_pages
 FROM urls
@@ -1350,7 +1350,7 @@ WITH urls AS (
 SELECT doc_id, url FROM (
   SELECT doc_id, url,
          ROW_NUMBER() OVER (
-           PARTITION BY LOWER(regexp_extract(url, '^[a-zA-Z][a-zA-Z0-9+.-]*://([^/:?#]+)', 1))
+           PARTITION BY RTRIM(LOWER(regexp_extract(url, '^[a-zA-Z][a-zA-Z0-9+.-]*://(?:[^/?#]*@)?([^/:?#]+)', 1)), '.')
            ORDER BY doc_id
          ) AS rn
   FROM urls

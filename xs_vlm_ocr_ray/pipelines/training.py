@@ -129,92 +129,106 @@ def build_training_ds(
     min_tokens: int = 20,
     max_per_domain: int | None = None,
     blocklist=None,
-    stage_walls: dict | None = None,
 ) -> rd.Dataset:
-    """Lazy curated-dataset pipeline ([blocklist →] filter → dedup
-    keeps min-lineage row per distinct extracted text → optional
-    per-site sampling cap).
+    """Curated-dataset pipeline ([blocklist →] filter → dedup keeps the
+    min-lineage row per distinct extracted text → optional per-site
+    sampling cap): stage 1 checkpointed in the object store, then the
+    one stage-2 tail (``_curate``) that ``run_training_pipeline``
+    executes too. The election runs eagerly in here; the returned
+    Dataset is the lazy filter over the checkpoint."""
+    return _curate(_stage1_checkpoint(sf_dir_or_paths, min_quality, min_tokens, blocklist),
+                   max_per_domain)
 
-    ``stage_walls``, if given, receives the eager stages' wall times
-    (``stage1_s`` = filter chain + checkpoint, ``election_s``) — the
-    ONE copy of this plan serves both the lazy query surface and the
-    benched ``run_training_pipeline`` path, so a stage added here is
-    automatically what the pipeline executes and times."""
+
+def _stage1_checkpoint(sf_dir_or_paths, min_quality, min_tokens, blocklist) -> rd.Dataset:
+    """Stage 1 in the object store: the filtered rows, projected to
+    the election columns and materialized ONCE (spills to disk at
+    scale; strictly cheaper than a sort all-to-all of the same bytes,
+    and the election and the winner filter then share one execution of
+    extraction instead of re-running it per consumer)."""
+    return build_filtered_ds(
+        sf_dir_or_paths, min_quality, min_tokens, blocklist=blocklist
+    ).select_columns(list(_ELECTION_COLUMNS)).materialize()
+
+
+def _curate(
+    stage1: rd.Dataset,
+    max_per_domain: int | None = None,
+    decontam_texts=None,
+    decontam_threshold: float = 0.5,
+    decontam_mode: str = "drop",
+    gates: dict | None = None,
+    walls: dict | None = None,
+) -> rd.Dataset:
+    """Stage 2 of the curation run — the ONE tail every path executes
+    over a stage-1 dataset carrying ``text_hash`` and ``_order``:
+    winner election → per-domain cap → decontamination.
+
+    Exact dedup keeps the min (shard_id, row_idx) row per distinct
+    text. The naive plan — groupby(text_hash).map_groups over the full
+    rows — SORT-shuffles every extracted text through the exchange
+    (measured: ~2/3 of end-to-end wall at sf0.1). Instead the election
+    runs on the SMALL columns only (per-batch partial min →
+    groupby(text_hash).Min over the encoded order key: one tiny row per
+    distinct hash per batch crosses the shuffle, never the text) and
+    the winners are broadcast into a streaming ``is_in`` filter over
+    the checkpoint — or, above ``_WINNER_BROADCAST_LIMIT`` (≈ 40 MB of
+    winner keys), joined back with a hash-shuffle semi-join.
+
+    The per-site cap applies AFTER dedup (caps apply to distinct
+    content; the min-lineage rows per domain win). Decontamination
+    marks, materializes once (the gate count and the output share one
+    execution of everything upstream) and counts into
+    ``gates["n_contaminated"]``; "drop" mode then filters the marked
+    rows out together with their audit columns. ``walls``, if given,
+    receives the unrounded ``election_s``."""
     import time
 
-    # exact dedup, deterministic keeper = min (shard_id, row_idx) per
-    # distinct text. The naive plan — groupby(text_hash).map_groups over
-    # the full rows — SORT-shuffles every extracted text through the
-    # exchange (measured: ~2/3 of end-to-end wall at sf0.1). Instead:
-    #
-    #   1. within-batch collapse (one row per hash per batch),
-    #   2. checkpoint the filtered rows ONCE (materialize → object
-    #      store, spills to disk at scale; strictly cheaper than a
-    #      sort all-to-all of the same bytes, and it makes the two
-    #      consumers below share one execution instead of re-running
-    #      extraction per consumer),
-    #   3. winner election on the SMALL columns only: per-batch partial
-    #      min → groupby(text_hash).Min over an encoded
-    #      (shard_id, row_idx) order key — the shuffle moves one tiny
-    #      row per distinct hash per batch, never the text,
-    #   4. winners broadcast (ray.put, one int64 per curated row) into
-    #      a streaming is_in filter over the checkpoint.
-    #
-    # The broadcast is bounded by ``_WINNER_BROADCAST_LIMIT``; above it
-    # (≈ >40 MB of winner keys) the election result is joined back with
-    # a hash-shuffle semi-join on the order key instead — still only
-    # one full-data exchange of PRE-DEDUPED rows, the strict worst case
-    # the old plan always paid.
+    from ..stages.dedup import elect_and_filter_winners
+
     t0 = time.perf_counter()
-    pre = build_filtered_ds(
-        sf_dir_or_paths, min_quality, min_tokens, blocklist=blocklist
-    ).select_columns(list(_ELECTION_COLUMNS))
-    mat = pre.materialize()
-    if stage_walls is not None:
-        stage_walls["stage1_s"] = round(time.perf_counter() - t0, 3)
-    t0 = time.perf_counter()
-    out = dedup_by_winner(mat)  # election runs eagerly in here
-    if stage_walls is not None:
-        stage_walls["election_s"] = round(time.perf_counter() - t0, 3)
+    out = elect_and_filter_winners(
+        stage1, key="text_hash", order_col="_order",
+        broadcast_limit=_WINNER_BROADCAST_LIMIT, drop_cols=("_order",),
+    )
+    if walls is not None:
+        walls["election_s"] = time.perf_counter() - t0
     if max_per_domain is not None:
-        # per-site sampling cap AFTER dedup (caps apply to distinct
-        # content; the cap keeps the min-lineage rows per domain)
         from ..functions.urls import cap_per_domain
 
         out = cap_per_domain(out, max_per_domain)
-    return out
+    if decontam_texts is None:
+        return out
+    import pyarrow.compute as pc
+
+    from ..stages.dedup import decontaminate
+
+    marked = decontaminate(
+        out, decontam_texts, threshold=decontam_threshold,
+        text_col="extracted_text", mark_only=True,
+    ).materialize()
+    gates["n_contaminated"] = _count_marked(marked)
+    if decontam_mode == "mark":
+        return marked
+
+    def drop_marked(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.invert(t["contaminated"]))
+        return t.drop_columns(["contamination", "contaminated"])
+
+    return marked.map_batches(drop_marked, batch_format="pyarrow")
 
 
-def dedup_by_winner(mat: rd.Dataset) -> rd.Dataset:
-    """Stage 2: winner election + filter over a (checkpointed) stage-1
-    dataset carrying ``text_hash`` and ``_order`` columns — a thin
-    wrapper over the shared election tail in stages/dedup.py."""
-    from ..stages.dedup import elect_and_filter_winners
-
-    return elect_and_filter_winners(
-        mat, key="text_hash", order_col="_order",
-        broadcast_limit=_WINNER_BROADCAST_LIMIT, drop_cols=("_order",),
-    )
-
-
-def _count_marked(marked: rd.Dataset) -> tuple[int, int]:
-    """One streaming pass over a decontaminate(mark_only=True) output:
-    (total rows, contaminated rows) via a per-batch partial reduce."""
+def _count_marked(marked: rd.Dataset) -> int:
+    """Contaminated rows of a mark-only decontamination output, by one
+    streaming per-batch partial reduce."""
     import pyarrow.compute as pc
 
     def partial(t: pa.Table) -> pa.Table:
         c = pc.sum(pc.cast(t["contaminated"], pa.int64())).as_py() or 0
-        return pa.table(
-            {
-                "n": pa.array([t.num_rows], pa.int64()),
-                "c": pa.array([int(c)], pa.int64()),
-            }
-        )
+        return pa.table({"c": pa.array([int(c)], pa.int64())})
 
     df = marked.map_batches(partial, batch_format="pyarrow").to_pandas()
-    if df.empty:
-        return 0, 0
-    return int(df["n"].sum()), int(df["c"].sum())
+    return int(df["c"].sum()) if not df.empty else 0
 
 
 def _quality_quantiles(ds: rd.Dataset) -> dict:
@@ -231,18 +245,6 @@ def _quality_quantiles(ds: rd.Dataset) -> dict:
         k: (None if math.isnan(v) else round(float(v), 6))
         for k, v in zip(("p50", "p90", "p99"), vals)
     }
-
-
-def _count_blocked(sf_dir_or_paths, blocklist, total: int) -> int:
-    """Blocklist gate count from a column-pruned url-only pass (never
-    re-runs extraction): input rows minus rows surviving the filter."""
-    from ..functions.urls import filter_domains
-    from ..sources.pages import read_pages
-
-    survivors = filter_domains(
-        read_pages(sf_dir_or_paths, columns=["url"]), blocklist
-    ).count()
-    return total - survivors
 
 
 def run_training_pipeline(
@@ -265,6 +267,12 @@ def run_training_pipeline(
     silent drops) and, on the in-memory path, per-stage wall times
     (``stage_walls_s``) so the bench artifact can attribute a slow run
     to a stage instead of guessing.
+
+    Both paths run the same stage-2 tail (``_curate``) and count the
+    same way: ``n_input`` is the row count in the input's parquet
+    footers (no Dataset execution), and ``n_blocked`` is the footer row
+    count of the shards this invocation processes minus the survivors
+    of one url-only ``filter_domains`` pass.
 
     ``quality_stats``: adds ``quality_quantiles`` (p50/p90/p99 of the
     curated quality score via ``stages.sketch.approx_quantiles`` —
@@ -294,15 +302,15 @@ def run_training_pipeline(
       (extract→annotate→filter→collapse) checkpointed through the
       flagship's wave/manifest machinery — a crashed run resumes and
       processes only the pending shards, exactly like ``run_extract``;
-    - stage 2 (``out_dir/curated``): winner election + filter reading
-      the stage-1 store — cheap, derived, idempotently rebuilt on every
+    - stage 2 (``out_dir/curated``): the curation tail reading the
+      stage-1 store — cheap, derived, idempotently rebuilt on every
       call (its input is durable, so rerunning after a crash is free of
       extraction cost).
     """
     import os
     import time
 
-    from ..sources.pages import read_pages
+    from ..sources.pages import list_shards, shard_work_items
 
     if decontam_mode not in ("drop", "mark"):
         raise ValueError(f"decontam_mode must be 'drop' or 'mark' (got {decontam_mode!r})")
@@ -311,152 +319,89 @@ def run_training_pipeline(
         # path has no store to read
         raise ValueError("near_dedup=True needs out_dir (stage 3 runs over the curated store)")
 
-    # input count from a column-pruned read — never re-run extraction
-    # just to count its input
-    total = read_pages(sf_dir_or_paths, columns=["url"]).count()
+    # list_shards handles dir/file/list inputs and SORTS — shard ids
+    # here must agree with run_extract's (sorted) indexing
+    paths = list_shards(sf_dir_or_paths)
+    items = shard_work_items(paths)
+    total = sum(it["num_rows"] for it in items)
+    if out_dir is not None:
+        from ..state.manifest import completed_shards
+
+        out_dir = os.path.abspath(out_dir)
+        stage1_dir = os.path.join(out_dir, "stage1")
+        done = completed_shards(stage1_dir) if resume else set()
+    else:
+        done = set()
     gates: dict = {}
-    if blocklist is not None and out_dir is None:
-        gates["n_blocked"] = _count_blocked(sf_dir_or_paths, blocklist, total)
-
-    if out_dir is None:
-        # ONE copy of the plan: build_training_ds is what executes —
-        # stages added there are automatically run (and timed) here
-        walls: dict[str, float] = {}
-        out = build_training_ds(
-            sf_dir_or_paths, min_quality, min_tokens,
-            max_per_domain=max_per_domain, blocklist=blocklist,
-            stage_walls=walls,
-        )
-        t0 = time.perf_counter()
-        if decontam_texts is None:
-            final_ds = out
-            kept = out.count()
-            walls["filter_s"] = round(time.perf_counter() - t0, 3)
-        else:
-            import pyarrow.compute as pc
-
-            from ..stages.dedup import decontaminate
-
-            marked = decontaminate(
-                out, decontam_texts, threshold=decontam_threshold,
-                text_col="extracted_text", mark_only=True,
-            )
-            n_all, n_cont = _count_marked(marked)
-            walls["filter_s"] = round(time.perf_counter() - t0, 3)
-            gates["n_contaminated"] = n_cont
-            kept = n_all - n_cont if decontam_mode == "drop" else n_all
-            final_ds = (
-                marked
-                if decontam_mode == "mark"
-                else marked.map_batches(
-                    lambda t: t.filter(pc.invert(t["contaminated"])),
-                    batch_format="pyarrow",
-                )
-            )
-        if quality_stats:
-            gates["quality_quantiles"] = _quality_quantiles(final_ds)
-        return {
-            "n_input": total,
-            "n_curated": kept,
-            "n_dropped": total - kept,
-            "stage_walls_s": walls,
-            **gates,
-        }
-
-    from ..sources.pages import list_shards
-    from ..state.manifest import completed_shards
-    from .extract import read_results, run_extract
-
-    out_dir = os.path.abspath(out_dir)
-    stage1 = os.path.join(out_dir, "stage1")
-
     if blocklist is not None:
-        # n_blocked = rows THIS invocation gated: on a resumed run only
-        # the pending shards pass through the blocklist filter —
-        # counting the whole input would overstate what this run
-        # blocked (already-manifested shards were gated, and counted,
-        # by the run that processed them)
-        # list_shards handles dir/file/list inputs and SORTS — shard ids
-        # here must agree with run_extract's (sorted) indexing, so never
-        # enumerate a caller-ordered list directly
-        paths = list_shards(sf_dir_or_paths)
-        done = completed_shards(stage1) if resume else set()
-        pending = [p for i, p in enumerate(paths) if i not in done]
-        if pending:
-            p_total = read_pages(pending, columns=["url"]).count()
-            gates["n_blocked"] = _count_blocked(pending, blocklist, p_total)
-        else:
-            gates["n_blocked"] = 0
+        # n_blocked = rows THIS invocation gated: a resumed run passes
+        # only its pending shards through the blocklist (already-
+        # manifested shards were gated, and counted, by the run that
+        # processed them)
+        from ..functions.urls import filter_domains
+        from ..sources.pages import read_pages
 
-    def builder(paths, skip):
-        return build_filtered_ds(
-            paths, min_quality, min_tokens, skip_shards=skip,
-            blocklist=blocklist,
-        )
-
-    s1 = run_extract(
-        sf_dir_or_paths, stage1, resume=resume, wave_shards=wave_shards,
-        ds_builder=builder,
+        processed = sum(it["num_rows"] for it in items if it["shard_id"] not in done)
+        survivors = filter_domains(
+            read_pages(paths, columns=["url"], skip_shards=done), blocklist
+        ).count() if processed else 0
+        gates["n_blocked"] = processed - survivors
+    tail = dict(
+        max_per_domain=max_per_domain, decontam_texts=decontam_texts,
+        decontam_threshold=decontam_threshold, decontam_mode=decontam_mode,
+        gates=gates,
     )
 
-    curated_dir = os.path.join(out_dir, "curated")
-    import shutil
-
-    # stage 2 is derived state: rebuild it whole (overwrite semantics —
-    # stale files from a previous run's UUID names must not survive)
-    shutil.rmtree(curated_dir, ignore_errors=True)
-    if s1["rows"] == 0:
-        # every row filtered: the stage-1 store has no parquet files to
-        # read back (zero-row shards are manifest-only) — the run is
-        # complete with an empty curated set, not an error
-        os.makedirs(curated_dir, exist_ok=True)
-        kept = 0
+    if out_dir is None:
+        walls: dict[str, float] = {}
+        t0 = time.perf_counter()
+        stage1 = _stage1_checkpoint(sf_dir_or_paths, min_quality, min_tokens, blocklist)
+        walls["stage1_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        curated = _curate(stage1, walls=walls, **tail)
+        kept = curated.count()
+        walls["filter_s"] = time.perf_counter() - t0 - walls["election_s"]
+        out = {"stage_walls_s": {k: round(v, 3) for k, v in walls.items()}}
     else:
-        curated = dedup_by_winner(
-            read_results(stage1, columns=list(_ELECTION_COLUMNS))
+        import shutil
+
+        from .extract import read_results, run_extract
+
+        def builder(paths, skip):
+            return build_filtered_ds(
+                paths, min_quality, min_tokens, skip_shards=skip,
+                blocklist=blocklist,
+            )
+
+        s1 = run_extract(
+            sf_dir_or_paths, stage1_dir, resume=resume, wave_shards=wave_shards,
+            ds_builder=builder,
         )
-        if max_per_domain is not None:
-            from ..functions.urls import cap_per_domain
-
-            curated = cap_per_domain(curated, max_per_domain)
-        if decontam_texts is not None:
-            import pyarrow.compute as pc
-
-            from ..stages.dedup import decontaminate
-
-            # mark + one bounded materialize (the curated rows about to
-            # be written anyway): the gate count and the final filter
-            # share one execution of the election/filter upstream
-            marked = decontaminate(
-                curated, decontam_texts, threshold=decontam_threshold,
-                text_col="extracted_text", mark_only=True,
-            ).materialize()
-            _, n_cont = _count_marked(marked)
-            gates["n_contaminated"] = n_cont
-            if decontam_mode == "drop":
-                def drop_marked(t: pa.Table) -> pa.Table:
-                    t = t.filter(pc.invert(t["contaminated"]))
-                    return t.drop_columns(["contamination", "contaminated"])
-
-                curated = marked.map_batches(drop_marked, batch_format="pyarrow")
-            else:
-                curated = marked
-        curated.write_parquet(curated_dir)
-        kept = rd.read_parquet(curated_dir).count()
+        curated_dir = os.path.join(out_dir, "curated")
+        # stage 2 is derived state: rebuild it whole (overwrite semantics —
+        # stale files from a previous run's UUID names must not survive)
+        shutil.rmtree(curated_dir, ignore_errors=True)
+        if s1["rows"] == 0:
+            # every row filtered: the stage-1 store has no parquet files to
+            # read back (zero-row shards are manifest-only) — the run is
+            # complete with an empty curated set, not an error
+            os.makedirs(curated_dir, exist_ok=True)
+            kept = 0
+            if decontam_texts is not None:
+                gates["n_contaminated"] = 0
+        else:
+            _curate(
+                read_results(stage1_dir, columns=list(_ELECTION_COLUMNS)), **tail
+            ).write_parquet(curated_dir)
+            curated = rd.read_parquet(curated_dir)
+            kept = curated.count()
+        out = {"stage1_waves": s1["waves"], "stage1_rows": s1["rows"]}
     if quality_stats:
         gates["quality_quantiles"] = (
-            _quality_quantiles(rd.read_parquet(curated_dir))
-            if kept
+            _quality_quantiles(curated) if kept
             else {"p50": None, "p90": None, "p99": None}
         )
-    out = {
-        "n_input": total,
-        "n_curated": kept,
-        "n_dropped": total - kept,
-        "stage1_waves": s1["waves"],
-        "stage1_rows": s1["rows"],
-        **gates,
-    }
+    out = {"n_input": total, "n_curated": kept, "n_dropped": total - kept, **out, **gates}
     if near_dedup:
         out["n_final"] = _stage3_near_dedup(curated_dir, os.path.join(out_dir, "final"))
     return out
@@ -488,15 +433,13 @@ def _stage3_near_dedup(
         verify_pairs_jaccard_ds,
     )
 
-    curated = rd.read_parquet(curated_dir)
-    docs = curated.select_columns(["_order", "extracted_text"]) if (
-        "_order" in curated.schema().names
-    ) else None
-    # curated rows dropped _order; rebuild the unique lineage key
-    if docs is None:
-        curated = curated.map_batches(add_lineage_order, batch_format="pyarrow")
-        docs = curated.select_columns(["_order", "extracted_text"])
-    docs = docs.materialize()  # consumed twice: signatures + verify
+    # curated rows never carry _order (the election drops it): rebuild
+    # the unique lineage key
+    curated = rd.read_parquet(curated_dir).map_batches(
+        add_lineage_order, batch_format="pyarrow"
+    )
+    # consumed twice: signatures + verify
+    docs = curated.select_columns(["_order", "extracted_text"]).materialize()
 
     sigs = docs.map_batches(
         MinHasher(text_col="extracted_text", id_col="_order"), batch_format="pyarrow"
