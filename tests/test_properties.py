@@ -192,10 +192,10 @@ def test_simhash_batch_property_matches_reference():
 
 def test_annotate_batch_property_matches_per_doc():
     """Property: annotate_batch equals the per-doc kernels over random
-    batches drawn from the documented-compatible alphabet (ASCII,
-    accents, CJK, punctuation, whitespace — excluding the locale-cased
-    forms where Arrow's context-free lowercasing is the documented
-    divergence)."""
+    batches drawn from ASCII, accents, CJK, punctuation, whitespace and
+    the case-mapping traps (dotted capital I, whose lowercase is two
+    code points; sigma and final sigma; the Kelvin sign; capital
+    accents; Unicode-only whitespace)."""
     import pyarrow as pa
     from hypothesis import given, settings, strategies as st
 
@@ -208,6 +208,7 @@ def test_annotate_batch_property_matches_per_doc():
     alphabet = st.sampled_from(
         list("abcdefghijxyz ABCDEF0123 .,;:!?…，。；：！？ the und für le la "
              "中文一二三四五鿿 éàüß \t\n\r")
+        + ["İ", "Σ", "ς", "K", "\u212a", "À", "Ü", "\x1c", "\x85", "\u2028", "\xa0"]
     )
 
     @settings(max_examples=40, deadline=None)

@@ -1,3 +1,11 @@
+import json
+import os
+import subprocess
+import sys
+
+import pyarrow as pa
+
+
 
 
 def test_domain_of_userinfo_and_fqdn(ray_session):
@@ -26,3 +34,144 @@ def test_domain_of_userinfo_and_fqdn(ray_session):
     )
     kept = filter_domains(ds, ["example.com"]).to_pandas()
     assert list(kept["url"]) == ["https://keep.org/c"]
+
+
+# --- the annotate kernel (functions/textstats.annotate_batch) ------------
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# list words in several cases, near misses and case-mapping traps
+_TOKENS = [
+    "the", "The", "THE", "them", "für", "FÜR", "Für", "fÜr", "à", "À", "zeit", "Zeit",
+    "tiempo", "persona", "personas", "İn", "İS", "is", "IS", "İT", "Kein", "Σ", "ς",
+    "中文", "一二三", "word", "…", "。", "x.", "die", "DIE", "le", "LA", "y", "Y",
+]
+_SEPS = [" ", "  ", "\t", "\n", "\x1c", "\x85", " ", "\xa0", "　"]
+
+
+def _per_doc(texts):
+    from xs_vlm_ocr_ray.functions.textstats import lang_id, quality_score, token_count_ws
+
+    return [(lang_id(x), quality_score(x), token_count_ws(x)) for x in texts]
+
+
+def _batch(texts):
+    from xs_vlm_ocr_ray.functions.textstats import annotate_batch
+
+    got = annotate_batch(pa.array(texts, pa.string()))
+    return list(zip(got["lang_pred"], got["quality"].tolist(), got["n_tokens"].tolist()))
+
+
+def test_annotate_kernel_is_native():
+    from xs_vlm_ocr_ray.functions import textstats
+
+    assert textstats.ANNOTATE_KERNEL == "native"
+
+
+def test_annotate_batch_dotted_capital_i_regression():
+    """str.lower maps U+0130 to two code points, so "İS" is no stopword
+    and "İT İS İN" casts no vote."""
+    texts = ["İS word", "İT İS İN", "FÜR die"]
+    assert _batch(texts) == _per_doc(texts)
+    assert [lang for lang, _, _ in _batch(texts)] == ["und", "und", "de"]
+
+
+def test_annotate_batch_words_across_the_sample_boundary():
+    """A word that crosses the 4,000th code point votes with its
+    truncated prefix ("them" votes as "the", "personas" as "persona"),
+    as ``text[:4000].lower().split()`` does; the whole word counts for
+    the stopwords and the token count."""
+    from xs_vlm_ocr_ray.functions.textstats import _LANG_SAMPLE
+
+    texts = []
+    for word in ["them", "THEM", "personas", "tiempo", "FÜR", "Fürst", "İst", "中文中文"]:
+        for start in range(_LANG_SAMPLE - len(word) - 1, _LANG_SAMPLE + 2):
+            head = ("xy " * _LANG_SAMPLE)[: start - 1] + " "
+            texts.append(head + word + " tail")
+            texts.append(head[:-1] + "　" + word)
+    got = _batch(texts)
+    assert got == _per_doc(texts)
+    assert {lang for lang, _, _ in got} >= {"en", "es", "und"}
+
+
+def test_annotate_batch_token_property():
+    """Property over texts made of list words, their case variants and
+    near misses, joined by ASCII and Unicode-only whitespace."""
+    from hypothesis import given, settings, strategies as st
+
+    tokens = st.lists(st.tuples(st.sampled_from(_TOKENS), st.sampled_from(_SEPS)), max_size=40)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(tokens.map(lambda ts: "".join(w + s for w, s in ts)), max_size=8))
+    def check(texts):
+        assert _batch(texts) == _per_doc(texts)
+
+    check()
+
+
+def test_annotate_batch_nulls_and_chunks():
+    """A null text reads as ""; a chunked column gives the same values."""
+    from xs_vlm_ocr_ray.functions.textstats import annotate_batch
+
+    texts = ["The cat is on the mat.", None, "", "Der Hund und die Katze."]
+    got = annotate_batch(pa.chunked_array([pa.array(texts[:2]), pa.array(texts[2:])]))
+    assert list(zip(got["lang_pred"], got["quality"].tolist(), got["n_tokens"].tolist())) == (
+        _per_doc([x or "" for x in texts])
+    )
+
+
+def test_lower_map_equals_brute_force():
+    """The kernel's non-ASCII lowercase map is every code point whose
+    ``str.lower`` is one code point of the word lists' alphabet."""
+    from xs_vlm_ocr_ray.functions import textstats
+
+    alphabet = set("".join(textstats._ALL_STOP.union(textstats._MARKER_LANGS)))
+    brute = {}
+    for c in range(0x80, 0x110000):
+        low = chr(c).lower()
+        if len(low) == 1 and low in alphabet:
+            brute[chr(c)] = low
+    assert textstats._native.lower_map() == brute
+    assert "İ" not in brute  # its lowercase is two code points
+
+
+_FALLBACK_TEXTS = [
+    "", "The cat is on the mat.", "İS word", "FÜR die Zeit und das", "中文一二三 the",
+    "le chat est dans la maison", "x" * 3998 + " them tail", None,
+]
+
+_FALLBACK_SCRIPT = """
+import json, logging, sys
+logging.basicConfig(format="%(levelname)s:%(name)s:%(message)s")
+from xs_vlm_ocr_ray import native
+native.BUILD_DIR = sys.argv[1]
+def _fail(src, out):
+    raise native.BuildError("simulated compiler failure")
+native._compile = _fail
+import pyarrow as pa
+from xs_vlm_ocr_ray.functions import textstats
+got = textstats.annotate_batch(pa.array(json.load(sys.stdin), pa.string()))
+print(json.dumps({
+    "kernel": textstats.ANNOTATE_KERNEL,
+    "rows": [list(r) for r in zip(got["lang_pred"], got["quality"].tolist(),
+                                  got["n_tokens"].tolist())],
+}))
+"""
+
+
+def test_build_failure_falls_back_to_per_doc_kernels(tmp_path):
+    """A failing compile step: annotate_batch loops over the per-doc
+    kernels, with the same outputs as the C kernel, one WARNING, and
+    ANNOTATE_KERNEL == "python"."""
+    p = subprocess.run(
+        [sys.executable, "-c", _FALLBACK_SCRIPT, str(tmp_path)],
+        input=json.dumps(_FALLBACK_TEXTS), capture_output=True, text=True, cwd=_ROOT,
+        env=dict(os.environ, PYTHONPATH=_ROOT), timeout=120,
+    )
+    assert p.returncode == 0, p.stderr
+    out = json.loads(p.stdout)
+    assert out["kernel"] == "python"
+    assert [tuple(r) for r in out["rows"]] == _batch(_FALLBACK_TEXTS)
+    warnings = [ln for ln in p.stderr.splitlines() if ln.startswith("WARNING:")]
+    assert len(warnings) == 1 and "simulated compiler failure" in warnings[0], p.stderr
+    assert os.listdir(tmp_path) == []  # the temporary output is removed

@@ -394,3 +394,87 @@ def test_resumable_reports_gates_when_nothing_survives(ray_session, tiny_pages_d
     assert (s["n_input"], s["n_curated"], s["stage1_rows"]) == (200, 0, 0)
     assert s["n_blocked"] == 3
     assert s["n_contaminated"] == 0
+
+
+def test_nothing_survives_stage1_curates_nothing(ray_session, tiny_pages_dir, tmp_path):
+    """No row passes stage 1's filter: the election gets an empty
+    winner set, and every entry point curates nothing."""
+    from xs_vlm_ocr_ray.pipelines.training import build_training_ds, run_training_pipeline
+
+    assert run_training_pipeline(tiny_pages_dir, min_quality=2.0)["n_curated"] == 0
+    s = run_training_pipeline(tiny_pages_dir, out_dir=str(tmp_path / "cur"), min_quality=2.0)
+    assert s["n_curated"] == 0
+    assert build_training_ds(tiny_pages_dir, min_quality=2.0).count() == 0
+
+
+def _pandas_collapse(df):
+    """Stage 1's within-batch collapse as the pandas round trip it was:
+    the reference for ``training._first_per_text``."""
+    return df.sort_values(["shard_id", "row_idx"], kind="mergesort").drop_duplicates(
+        "text_hash", keep="first"
+    )
+
+
+def test_first_per_text_matches_pandas_collapse():
+    """The Arrow collapse keeps the rows, the order and the types of the
+    pandas sort + drop_duplicates, on shuffled batches with repeats. An
+    empty batch keeps its column types, where the pandas round trip
+    turned its string columns into nulls."""
+    import random
+
+    from xs_vlm_ocr_ray.pipelines.training import _first_per_text
+
+    rng = random.Random(7)
+    rows = [(s, r) for s in range(3) for r in range(40)]
+    rng.shuffle(rows)
+    texts = [f"text {rng.randrange(15)}" for _ in rows]
+    t = pa.table({
+        "url": [f"https://x.example/{s}/{r}" for s, r in rows],
+        "extracted_text": pa.array(texts, pa.large_string()),
+        "shard_id": pa.array([s for s, _ in rows], pa.int32()),
+        "row_idx": pa.array([r for _, r in rows], pa.int64()),
+        "text_hash": pa.array([x[::-1] for x in texts], pa.string()),
+    })
+    for batch in (t, t.slice(0, 1)):
+        want = pa.Table.from_pandas(_pandas_collapse(batch.to_pandas()), preserve_index=False)
+        assert _first_per_text(batch).equals(want.replace_schema_metadata(None))
+    empty = _first_per_text(t.slice(0, 0))
+    assert empty.num_rows == 0 and empty.schema == _first_per_text(t).schema
+
+
+def test_stage1_schema_and_rows_match_pandas_collapse(ray_session, tiny_pages_dir):
+    """Stage 1 through Ray: the same schema and rows as the chain with
+    the pandas collapse."""
+    import pandas as pd
+    import pyarrow.compute as pc
+
+    from xs_vlm_ocr_ray.pipelines.routed import build_routed_extract_ds
+    from xs_vlm_ocr_ray.pipelines.training import _annotate, add_lineage_order, build_filtered_ds
+
+    def collapse(df):  # _pandas_collapse, local so the Ray workers get it by value
+        return df.sort_values(["shard_id", "row_idx"], kind="mergesort").drop_duplicates(
+            "text_hash", keep="first"
+        )
+
+    def keep(t):
+        return t.filter(pc.and_(
+            pc.and_(t["success"], pc.greater_equal(t["quality"], 0.5)),
+            pc.greater_equal(t["n_tokens"], 20),
+        ))
+
+    parent = (
+        build_routed_extract_ds(tiny_pages_dir, emit_spans=False)
+        .map_batches(_annotate, batch_format="pyarrow")
+        .map_batches(keep, batch_format="pyarrow")
+        .map_batches(collapse, batch_format="pandas")
+        .map_batches(add_lineage_order, batch_format="pyarrow")
+        .materialize()
+    )
+    stage1 = build_filtered_ds(tiny_pages_dir).materialize()
+    assert stage1.schema() == parent.schema()
+
+    def rows(ds):
+        df = ds.to_pandas().drop(columns="processing_ms")
+        return df.sort_values("_order").reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(rows(stage1), rows(parent))

@@ -6,11 +6,21 @@ A2, src/ui/MainWindow.cpp:1994; preview M20) to corpus scale. All are
 pure per-row functions packaged for vectorized use inside
 ``map_batches``; stateful variants (compiled patterns / profile tables)
 belong in actor ``__init__``.
+
+``annotate_batch``, the curation run's (lang_pred, quality, n_tokens)
+kernel, counts each text in one C pass (``csrc/textkernel.c``, built
+once at first import by ``native.load``) and turns the counts into
+values with the same decisions as the per-doc ``lang_id`` and
+``quality_score``, which stay the reference. When the build fails it
+loops over the per-doc kernels, one WARNING is logged, and
+``ANNOTATE_KERNEL`` reads ``"python"`` (else ``"native"``).
 """
 
 from __future__ import annotations
 
 import re
+
+from .. import native
 
 
 # --- token counting ------------------------------------------------------
@@ -30,7 +40,8 @@ def token_count_bpeish(text: str) -> int:
 
 # --- quality scoring -----------------------------------------------------
 
-_PUNCT_RE = re.compile(r"[.,;:!?…，。；：！？]")
+_PUNCT = ".,;:!?…，。；：！？"
+_PUNCT_RE = re.compile(f"[{re.escape(_PUNCT)}]")
 _STOPWORDS = {
     "en": frozenset("the a an and or of to in is are was were for on with as at by it this that".split()),
     "de": frozenset("der die das und oder ist sind ein eine zu in mit für auf als bei es".split()),
@@ -40,35 +51,48 @@ _STOPWORDS = {
 _ALL_STOP = frozenset().union(*_STOPWORDS.values())
 
 
+def _counts(text: str, words: list[str]) -> tuple[int, int, int, int, int]:
+    """(n_chars, n_words, word_len_sum, n_stop, n_punct) of one text."""
+    return (
+        len(text),
+        len(words),
+        sum(len(w) for w in words),
+        sum(1 for w in words if w.lower() in _ALL_STOP),
+        len(_PUNCT_RE.findall(text)),
+    )
+
+
 def quality_stats(text: str, words: list[str] | None = None) -> dict:
     """Length / punctuation / stopword heuristics (one row). Pass a
     precomputed ``text.split()`` to share the tokenization with other
     kernels in a fused annotate pass."""
-    n_chars = len(text)
-    words = text.split() if words is None else words
-    n_words = len(words)
-    n_punct = len(_PUNCT_RE.findall(text))
-    n_stop = sum(1 for w in words if w.lower() in _ALL_STOP)
-    mean_word_len = (sum(len(w) for w in words) / n_words) if n_words else 0.0
+    n_chars, n_words, len_sum, n_stop, n_punct = _counts(
+        text, text.split() if words is None else words
+    )
     return {
         "n_chars": n_chars,
         "n_words": n_words,
         "punct_ratio": (n_punct / n_chars) if n_chars else 0.0,
         "stopword_ratio": (n_stop / n_words) if n_words else 0.0,
-        "mean_word_len": mean_word_len,
+        "mean_word_len": (len_sum / n_words) if n_words else 0.0,
     }
 
 
 def quality_score(text: str, words: list[str] | None = None) -> float:
     """Composite [0,1] quality heuristic: rewards mid-length documents,
     sane word lengths, some punctuation and stopword presence."""
-    s = quality_stats(text, words)
-    if s["n_words"] == 0:
+    return _quality(*_counts(text, text.split() if words is None else words))
+
+
+def _quality(n_chars: int, n_words: int, len_sum: int, n_stop: int, n_punct: int) -> float:
+    """The quality formula over a text's counts: one definition for the
+    per-doc and the batch kernel."""
+    if n_words == 0:
         return 0.0
-    length_term = min(1.0, s["n_words"] / 100.0)
-    wordlen_term = 1.0 if 2.0 <= s["mean_word_len"] <= 12.0 else 0.3
-    stop_term = min(1.0, s["stopword_ratio"] * 4.0)
-    punct_term = min(1.0, s["punct_ratio"] * 50.0 + 0.5)
+    length_term = min(1.0, n_words / 100.0)
+    wordlen_term = 1.0 if 2.0 <= len_sum / n_words <= 12.0 else 0.3
+    stop_term = min(1.0, n_stop / n_words * 4.0)
+    punct_term = min(1.0, n_punct / n_chars * 50.0 + 0.5)
     return round(0.4 * length_term + 0.2 * wordlen_term + 0.2 * stop_term + 0.2 * punct_term, 6)
 
 
@@ -83,177 +107,89 @@ _LANG_MARKERS = {
     "fr": frozenset("le la les et est pas une dans pour avec que temps".split()),
     "es": frozenset("el la los las y es no una tiempo para con persona".split()),
 }
+_LANGS = sorted(_LANG_MARKERS)  # the vote's tie-break: first max in this order
+_LANG_SAMPLE = 4000  # code points of the text the language vote reads
+_CJK = (0x4E00, 0x9FFF)
+_CJK_RE = re.compile(f"[{chr(_CJK[0])}-{chr(_CJK[1])}]")
 
-# hot-path forms of the profiles: CJK counting as one compiled-regex
-# findall (C speed — the per-char Python loop was ~25% of the training
-# pipeline's annotate kernel), and an inverted marker-word → languages
-# map so the vote is one pass over the sample instead of one per
-# language. Outputs are identical to the per-language definition above.
-_CJK_RE = re.compile(r"[一-鿿]")
-_MARKER_LANGS: dict[str, tuple[str, ...]] = {}
-for _lang, _ms in _LANG_MARKERS.items():
-    for _w in _ms:
-        _MARKER_LANGS[_w] = _MARKER_LANGS.get(_w, ()) + (_lang,)
+# an inverted marker-word → language indexes map, so the vote is one
+# pass over the sample instead of one per language
+_MARKER_LANGS: dict[str, tuple[int, ...]] = {}
+for _i, _lang in enumerate(_LANGS):
+    for _w in _LANG_MARKERS[_lang]:
+        _MARKER_LANGS[_w] = _MARKER_LANGS.get(_w, ()) + (_i,)
 
 
 def lang_id(text: str) -> str:
     """Heuristic language ID: CJK script share, else marker-word vote."""
-    if not text:
-        return "und"
-    n = min(len(text), 4000)
-    sample = text[:n]
-    cjk = len(_CJK_RE.findall(sample))
-    if cjk * 5 >= n:
-        return "zh"
+    sample = text[:_LANG_SAMPLE]
     words = sample.lower().split()
-    if not words:
-        return "und"
-    scores = dict.fromkeys(_LANG_MARKERS, 0)  # derived — never diverges
+    votes = [0] * len(_LANGS)
     get = _MARKER_LANGS.get
     for w in words:
-        langs = get(w)
-        if langs is not None:
-            for lang in langs:
-                scores[lang] += 1
-    best = max(sorted(scores), key=lambda k: scores[k])
-    return best if scores[best] > 0 else "und"
+        for i in get(w, ()):
+            votes[i] += 1
+    return _pick_lang(len(sample), len(_CJK_RE.findall(sample)), len(words), votes)
 
 
-# --- batch-vectorized annotate (the training pipeline's hot kernel) ------
+def _pick_lang(n_sample: int, n_cjk: int, n_words: int, votes) -> str:
+    """The language decision over the sample's counts: one definition
+    for the per-doc and the batch kernel."""
+    if n_sample == 0:
+        return "und"
+    if n_cjk * 5 >= n_sample:
+        return "zh"
+    if n_words == 0:
+        return "und"
+    best = max(range(len(_LANGS)), key=votes.__getitem__)
+    return _LANGS[best] if votes[best] > 0 else "und"
 
-_PUNCT_PATTERN = r"[.,;:!?…，。；：！？]"
-_CJK_PATTERN = r"[一-鿿]"
 
+# --- batch annotate (the training pipeline's hot kernel) -----------------
 
-def _seg_sums(values, starts, ends):
-    """Per-segment sums that tolerate empty segments (np.add.reduceat
-    mishandles zero-length segments: prefix-sum difference instead).
-    ONE cumsum pass over ``values`` (bool/int of any width), per-doc
-    indexing only afterwards — the word-level arrays here are tens of
-    millions of elements per batch, so every extra full pass (a
-    concatenate, an astype) is measurable."""
-    import numpy as np
-
-    # int32 prefix sums are safe whenever the grand total fits (bool
-    # masks: ≤ len(values); word lengths: ≤ batch chars ≪ 2^31 under
-    # any sane block size) — half the memory traffic of int64
-    total_bound = len(values) if values.dtype == np.bool_ else None
-    if total_bound is None:
-        total_bound = int(values.sum(dtype=np.int64)) if len(values) else 0
-    dt = np.int32 if total_bound < 2**31 - 1 else np.int64
-    cs = np.cumsum(values, dtype=dt)
-    out = np.zeros(len(starts), dtype=np.int64)
-    nz = ends > starts
-    e = ends[nz] - 1
-    s = starts[nz]
-    out[nz] = cs[e].astype(np.int64) - np.where(s > 0, cs[s - 1], 0)
-    return out
+# The annotate kernel, chosen once per process: the C counts
+# (csrc/textkernel.c) when they build, else the per-doc kernels
+# (native.load has logged why).
+_native = native.load("textkernel")
+if _native is not None:
+    _native.init(
+        # each list word with its flags: bit 0 a stopword, bit 1 + i a
+        # marker word of _LANGS[i]
+        [(w, (w in _ALL_STOP) | sum(2 << i for i in _MARKER_LANGS.get(w, ())))
+         for w in sorted(_ALL_STOP.union(_MARKER_LANGS))],
+        len(_LANGS), _PUNCT, *_CJK, _LANG_SAMPLE,
+    )
+    ANNOTATE_KERNEL = "native"
+else:
+    ANNOTATE_KERNEL = "python"
 
 
 def annotate_batch(texts) -> dict:
-    """Vectorized (lang_pred, quality, n_tokens) over a string Array —
-    byte-compatible with per-doc ``lang_id`` / ``quality_score`` /
-    ``token_count_ws`` (pytest-gated), built from Arrow C kernels:
-    whitespace split, utf8_lower, count_substring_regex, is_in — the
-    per-doc Python loops were the dominant CPU of the curation
-    pipeline's annotate stage (~75% of its kernel time at sf0.1).
+    """(lang_pred, quality, n_tokens) over a string Array, a null read as
+    "": equal to the per-doc ``lang_id`` / ``quality_score`` /
+    ``token_count_ws`` (pytest-gated). The C kernel counts each text in
+    one pass and the per-doc decisions (``_pick_lang``, ``_quality``)
+    turn the counts into values; without it the per-doc kernels run.
 
-    One documented divergence: case-insensitive stopword/marker
-    membership uses Arrow's context-free utf8proc lowercasing, which
-    differs from ``str.lower`` only for locale-style forms (dotted
-    İ, Greek final sigma). No ASCII/CJK corpus is affected; the per-doc
-    kernels remain the reference for those edge cases.
-
-    Returns numpy/python-list columns:
-    ``lang_pred`` (list[str]), ``quality`` (np.float64, rounded 6 via
-    Python ``round`` for bit-parity), ``n_tokens`` (np.int64).
+    Returns ``lang_pred`` (list[str]), ``quality`` (np.float64) and
+    ``n_tokens`` (np.int64).
     """
     import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
 
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    texts = pc.fill_null(texts, "")
-    n = len(texts)
-    if n == 0:
-        return {
-            "lang_pred": [],
-            "quality": np.array([], dtype=np.float64),
-            "n_tokens": np.array([], dtype=np.int64),
-        }
-    n_chars = pc.utf8_length(texts).to_numpy(zero_copy_only=False).astype(np.int64)
-
-    # one whitespace split shared by token count + quality (Arrow emits
-    # EMPTY tokens at edges, unlike str.split — mask them out)
-    words = pc.utf8_split_whitespace(texts)
-    raw_counts = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-    ends = np.cumsum(raw_counts, dtype=np.int64)
-    starts = ends - raw_counts
-    flat = pc.list_flatten(words)
-    wl = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
-    n_words = _seg_sums(wl > 0, starts, ends)
-    word_len_sum = _seg_sums(wl, starts, ends)
-
-    stop_arr = pa.array(sorted(_ALL_STOP), pa.string())
-    stop_mask = pc.is_in(pc.utf8_lower(flat), value_set=stop_arr).to_numpy(
-        zero_copy_only=False
-    )
-    n_stop = _seg_sums(stop_mask, starts, ends)
-    n_punct = (
-        pc.count_substring_regex(texts, _PUNCT_PATTERN)
-        .to_numpy(zero_copy_only=False)
-        .astype(np.int64)
-    )
-
-    # quality_score formula, identical op order / associativity
-    nw_safe = np.maximum(n_words, 1)
-    mean_word_len = word_len_sum / nw_safe
-    stopword_ratio = n_stop / nw_safe
-    punct_ratio = n_punct / np.maximum(n_chars, 1)
-    length_term = np.minimum(1.0, n_words / 100.0)
-    wordlen_term = np.where((mean_word_len >= 2.0) & (mean_word_len <= 12.0), 1.0, 0.3)
-    stop_term = np.minimum(1.0, stopword_ratio * 4.0)
-    punct_term = np.minimum(1.0, punct_ratio * 50.0 + 0.5)
-    q = 0.4 * length_term + 0.2 * wordlen_term + 0.2 * stop_term + 0.2 * punct_term
-    q[n_words == 0] = 0.0
-    # Python round (not np.round) for bit-parity with quality_score
-    quality = np.fromiter((round(float(x), 6) for x in q), dtype=np.float64, count=n)
-
-    # ---- lang_id ----
-    sample = pc.utf8_slice_codeunits(texts, 0, 4000)
-    n_s = pc.utf8_length(sample).to_numpy(zero_copy_only=False).astype(np.int64)
-    cjk = (
-        pc.count_substring_regex(sample, _CJK_PATTERN)
-        .to_numpy(zero_copy_only=False)
-        .astype(np.int64)
-    )
-    is_zh = cjk * 5 >= n_s
-    s_words = pc.utf8_split_whitespace(pc.utf8_lower(sample))
-    s_counts = pc.list_value_length(s_words).to_numpy(zero_copy_only=False)
-    s_ends = np.cumsum(s_counts, dtype=np.int64)
-    s_starts = s_ends - s_counts
-    s_flat = pc.list_flatten(s_words)
-    s_wl = pc.utf8_length(s_flat).to_numpy(zero_copy_only=False)
-    s_nwords = _seg_sums(s_wl > 0, s_starts, s_ends)
-    lang_keys = sorted(_LANG_MARKERS)  # tie-break = first max in sorted order
-    scores = np.empty((len(lang_keys), n), dtype=np.int64)
-    for i, lang in enumerate(lang_keys):
-        m = pc.is_in(
-            s_flat, value_set=pa.array(sorted(_LANG_MARKERS[lang]), pa.string())
-        ).to_numpy(zero_copy_only=False)
-        scores[i] = _seg_sums(m, s_starts, s_ends)
-    best_idx = np.argmax(scores, axis=0)
-    best_score = scores[best_idx, np.arange(n)]
-    keys = np.array(lang_keys)
-    lang = np.where(best_score > 0, keys[best_idx], "und")
-    lang = np.where(is_zh, "zh", lang)
-    lang = np.where((n_chars == 0) | (~is_zh & (s_nwords == 0)), "und", lang)
-
+    docs = [x or "" for x in texts.to_pylist()]
+    if _native is None:
+        lang = [lang_id(x) for x in docs]
+        quality = [quality_score(x) for x in docs]
+        n_tokens = [token_count_ws(x) for x in docs]
+    else:
+        rows = _native.counts(docs)
+        lang = [_pick_lang(r[5], r[6], r[7], r[8:]) for r in rows]
+        quality = [_quality(*r[:5]) for r in rows]
+        n_tokens = [r[1] for r in rows]
     return {
-        "lang_pred": [str(x) for x in lang],
-        "quality": quality,
-        "n_tokens": n_words,
+        "lang_pred": lang,
+        "quality": np.array(quality, dtype=np.float64),
+        "n_tokens": np.array(n_tokens, dtype=np.int64),
     }
 
 

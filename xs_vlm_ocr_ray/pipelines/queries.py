@@ -1083,12 +1083,12 @@ def q_doc_annotate(sf_dir: str) -> pd.DataFrame:
     """Single-pass text-analysis annotate: BPE-ish token count, rolling
     fingerprint, heuristic lang-ID (+ labeled lang for agreement) and
     composite quality score in ONE map_batches scan — the per-document
-    annotation stage of the curation pipeline. Python \\w is Unicode,
-    DuckDB RE2's is ASCII → not SQL-expressible for zh docs; rows-only
-    (each kernel is pytest-gated, tests/test_textstats.py)."""
+    annotation stage of the curation pipeline, with lang_pred and
+    quality from the curation run's own ``annotate_batch``. Python \\w
+    is Unicode, DuckDB RE2's is ASCII → not SQL-expressible for zh docs;
+    rows-only (each kernel is pytest-gated, tests/test_properties.py)."""
     from ..functions.textstats import (
-        lang_id,
-        quality_score,
+        annotate_batch,
         rolling_fingerprint,
         token_count_bpeish,
     )
@@ -1097,12 +1097,13 @@ def q_doc_annotate(sf_dir: str) -> pd.DataFrame:
 
     def fn(t: pa.Table) -> pa.Table:
         texts = [x or "" for x in t["text"].to_pylist()]
+        ann = annotate_batch(t["text"])
         return pa.table(
             {
                 "doc_id": t["doc_id"],
                 "lang": t["lang"],
-                "lang_pred": pa.array([lang_id(x) for x in texts], pa.string()),
-                "quality": pa.array([quality_score(x) for x in texts], pa.float64()),
+                "lang_pred": pa.array(ann["lang_pred"], pa.string()),
+                "quality": pa.array(ann["quality"], pa.float64()),
                 "n_tokens_bpeish": pa.array(
                     [token_count_bpeish(x) for x in texts], pa.int64()
                 ),

@@ -4,7 +4,7 @@ stages — the concrete "switch from the reference" story:
 
     read pages (lineage)                         streaming
       → classify + routed dual-engine extract    one fused pass
-      → annotate: language-ID, quality score,    vectorized kernels
+      → annotate: language-ID, quality score,    one C pass per text
         token counts, rolling fingerprint
       → filter: success ∧ quality ≥ τ ∧ length   in-band, counted
       → exact dedup on extracted-text hash       THE hash shuffle
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
 
 import ray.data as rd
@@ -48,19 +48,19 @@ _ELECTION_COLUMNS = (
 
 
 def _annotate(t: pa.Table) -> pa.Table:
-    # vectorized Arrow kernels for lang/quality/tokens (the per-doc
-    # Python loops were ~75% of this stage's CPU — see
-    # functions/textstats.annotate_batch, pytest-gated byte-compatible
-    # with the per-doc reference kernels); md5 stays a per-doc loop BY
-    # MEASUREMENT: OpenSSL md5 at ~420 MB/s/core incl. the utf-8
-    # encode beats pandas' vectorized hash on the same docs (~2×), no
+    # lang/quality/tokens from the C annotate kernel (see
+    # functions/textstats.annotate_batch, pytest-gated equal to the
+    # per-doc reference kernels); md5 stays a per-doc loop BY
+    # MEASUREMENT: OpenSSL md5 over the zero-copy binary view of each
+    # text beats pandas' vectorized hash on the same docs (~2×), no
     # Arrow md5 kernel exists, and the stage share is ~5% (see
-    # stages/dedup.add_text_hash for the numbers)
+    # stages/dedup.add_text_hash for the numbers). A null text hashes
+    # as the empty text.
     ann = annotate_batch(t["extracted_text"])
     md5 = hashlib.md5
     thash = [
-        md5((x or "").encode("utf-8")).hexdigest()
-        for x in t["extracted_text"].to_pylist()
+        md5(x or b"").hexdigest()
+        for x in t["extracted_text"].cast(pa.binary()).to_pylist()
     ]
     return (
         t.append_column("lang_pred", pa.array(ann["lang_pred"], pa.string()))
@@ -111,16 +111,27 @@ def build_filtered_ds(
         )
         return t.filter(mask)
 
-    filtered = ds.map_batches(keep, batch_format="pyarrow")
-
-    def within_batch(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(["shard_id", "row_idx"], kind="mergesort").drop_duplicates(
-            "text_hash", keep="first"
-        )
-
-    return filtered.map_batches(within_batch, batch_format="pandas").map_batches(
-        add_lineage_order, batch_format="pyarrow"
+    return (
+        ds.map_batches(keep, batch_format="pyarrow")
+        .map_batches(_first_per_text, batch_format="pyarrow")
+        .map_batches(add_lineage_order, batch_format="pyarrow")
     )
+
+
+def _first_per_text(t: pa.Table) -> pa.Table:
+    """Stage 1's within-batch collapse: the rows in (shard_id, row_idx)
+    order, keeping the first of each ``text_hash``. Stage 1 carries
+    ``extracted_text`` as ``string`` (a filtered batch's text is far
+    under 2 GiB), the type its checkpoints have always had."""
+    t = t.sort_by([("shard_id", "ascending"), ("row_idx", "ascending")])
+    first = (
+        pa.table({"text_hash": t["text_hash"], "i": np.arange(t.num_rows)})
+        .group_by("text_hash")
+        .aggregate([("i", "min")])["i_min"]
+    )
+    t = t.take(np.sort(first.to_numpy()))
+    i = t.schema.get_field_index("extracted_text")
+    return t.set_column(i, "extracted_text", t["extracted_text"].cast(pa.string()))
 
 
 def build_training_ds(

@@ -160,8 +160,10 @@ def elect_and_filter_winners(
         return t.drop_columns(gone) if gone else t
 
     if winners_ds.count() <= broadcast_limit:
-        winners_df = winners_ds.to_pandas()
-        ref = ray.put(pa.array(np.sort(winners_df["order_min"].to_numpy())))
+        # an empty winner set comes back as one empty block without columns
+        blocks = [b for b in ray.get(winners_ds.to_arrow_refs()) if b.num_rows]
+        winners = pa.concat_tables(blocks)["order_min"] if blocks else pa.array([], pa.int64())
+        ref = ray.put(pa.array(np.sort(winners.to_numpy())))
 
         def keep_winners(t: pa.Table) -> pa.Table:
             return strip(t.filter(pc.is_in(t[order_col], value_set=ray.get(ref))))
