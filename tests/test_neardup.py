@@ -104,34 +104,68 @@ def test_simhash_cached_equals_pure(ray_session):
 
 
 def test_dedup_exact_winner_election(ray_session):
-    """dedup_exact keeps exactly the min-order row per key (both the
-    broadcast path and the semi-join fallback)."""
+    """dedup_exact keeps exactly the min-order row per key on both
+    routes: the driver election (partial rows within broadcast_limit)
+    and the groupby + hash-shuffle semi-join (above it). The input spans
+    three blocks, so duplicates cross blocks. Both routes return the
+    same rows and the same schema, and neither leaks ``order_min`` or
+    ``order_part``. An empty input has no partial rows, so every limit
+    elects it in the driver, over an empty winner set (the
+    ``KeyError('order_min')`` case), and a negative limit, which would
+    send zero partial rows into the semi-join, is refused."""
     import pandas as pd
+    import pyarrow as pa
 
     import ray.data as rd
     from xs_vlm_ocr_ray.stages.dedup import dedup_exact
 
-    df = pd.DataFrame(
-        {
-            "content_hash": ["a", "b", "a", "c", "b", "a"],
-            "doc_id": [5, 2, 1, 9, 7, 3],
-            "payload": ["p5", "p2", "p1", "p9", "p7", "p3"],
-        }
-    )
+    t = pa.table({
+        "content_hash": ["a", "b", "a", "c", "b", "a"],
+        "doc_id": pa.array([5, 2, 1, 9, 7, 3], pa.int64()),
+        "payload": pa.array(["p5", "p2", "p1", "p9", "p7", "p3"], pa.large_string()),
+    })
+    df = t.to_pandas()
     want = (
         df.sort_values("doc_id")
         .drop_duplicates("content_hash", keep="first")
         .sort_values("content_hash")
         .reset_index(drop=True)
     )
-    for limit in (5_000_000, 0):  # broadcast path, then join fallback
-        out = (
-            dedup_exact(rd.from_pandas(df), broadcast_limit=limit)
-            .to_pandas()
-            .sort_values("content_hash")
-            .reset_index(drop=True)[want.columns]
-        )
-        pd.testing.assert_frame_equal(out, want)
+    for limit in (5_000_000, 0):  # driver route, then groupby + semi-join
+        out = dedup_exact(rd.from_arrow(t).repartition(3), broadcast_limit=limit)
+        assert ("Join" in repr(out)) == (limit == 0)
+        assert out.schema().base_schema == t.schema
+        got = out.to_pandas().sort_values("content_hash").reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, want)
+
+        out = dedup_exact(rd.from_arrow(t.slice(0, 0)), broadcast_limit=limit)
+        assert "Join" not in repr(out) and out.count() == 0
+        assert not {"order_min", "order_part"} & set(out.to_pandas().columns)
+    with pytest.raises(ValueError, match="broadcast_limit"):
+        dedup_exact(rd.from_arrow(t), broadcast_limit=-1)
+
+
+def test_first_per_key_keeps_types():
+    """The within-batch collapse keeps the first row per key in order
+    and every column's Arrow type: ``large_string`` stays
+    ``large_string``, and an empty batch keeps its schema (the pandas
+    round trip it replaces returned ``string`` and null columns)."""
+    import pyarrow as pa
+
+    from xs_vlm_ocr_ray.stages.dedup import first_per_key
+
+    t = pa.table({
+        "k": ["b", "a", "b", "a", "c", "a"],
+        "o": pa.array([4, 3, 1, 2, 0, 5], pa.int64()),
+        "v": pa.array(["b4", "a3", "b1", "a2", "c0", "a5"], pa.large_string()),
+    })
+    out = first_per_key(t, "k", ("o",))
+    assert out.schema == t.schema
+    assert out.to_pydict() == {"k": ["c", "b", "a"], "o": [0, 1, 2], "v": ["c0", "b1", "a2"]}
+    ref = t.to_pandas().sort_values("o", kind="mergesort").drop_duplicates("k", keep="first")
+    assert out.to_pandas().reset_index(drop=True).equals(ref.reset_index(drop=True))
+    empty = first_per_key(t.slice(0, 0), "k", ("o",))
+    assert empty.num_rows == 0 and empty.schema == t.schema
 
 
 def test_neardup_clusters_chains():

@@ -97,6 +97,19 @@ def dedup_exact_stats(
     return out
 
 
+def first_per_key(t: pa.Table, key: str, order_cols: tuple[str, ...]) -> pa.Table:
+    """Within-batch collapse: the rows of ``t`` in ``order_cols`` order
+    (a stable sort), keeping the first row of each ``key``. Every column
+    keeps its Arrow type, ``large_string`` and an empty batch included."""
+    t = t.sort_by([(c, "ascending") for c in order_cols])
+    first = (
+        pa.table({key: t[key], "i": np.arange(t.num_rows)})
+        .group_by(key)
+        .aggregate([("i", "min")])["i_min"]
+    )
+    return t.take(np.sort(first.to_numpy()))
+
+
 def dedup_exact(
     ds: rd.Dataset,
     key: str = "content_hash",
@@ -106,19 +119,20 @@ def dedup_exact(
     """Keep exactly one row per key — the one with the smallest
     ``order_col`` (deterministic winner).
 
-    Plan (same as pipelines/training.py's dedup tail): never shuffle the
-    full rows. Within-batch collapse → checkpoint (materialize; spills
-    at scale, strictly cheaper than sort-shuffling the same bytes) →
-    winner election over only (key, order_col) via partial-min + tiny
-    groupby → broadcast the winner order-key set into a streaming
-    ``is_in`` filter. Requires ``order_col`` values to be UNIQUE across
-    rows (they identify the winners); falls back to a hash-shuffle
-    semi-join when the winner set exceeds ``broadcast_limit``."""
+    Plan (the curation run's, pipelines/training._curate): never shuffle
+    the full rows. Within-batch collapse (``first_per_key``) →
+    checkpoint (materialize; spills at scale, strictly cheaper than
+    sort-shuffling the same bytes) → ``elect_and_filter_winners`` over
+    only (key, order_col): the election runs in the driver when the
+    per-batch partial mins fit under ``broadcast_limit`` rows, with no
+    shuffle, and through a groupby and a hash-shuffle semi-join above
+    it. Requires ``order_col`` values to be UNIQUE across rows (they
+    identify the winners)."""
 
-    def within_batch(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(order_col, kind="mergesort").drop_duplicates(key, keep="first")
+    def within_batch(t: pa.Table) -> pa.Table:
+        return first_per_key(t, key, (order_col,))
 
-    mat = ds.map_batches(within_batch, batch_format="pandas").materialize()
+    mat = ds.map_batches(within_batch, batch_format="pyarrow").materialize()
     return elect_and_filter_winners(mat, key, order_col, broadcast_limit)
 
 
@@ -129,52 +143,76 @@ def elect_and_filter_winners(
     broadcast_limit: int = 5_000_000,
     drop_cols: tuple[str, ...] = (),
 ) -> rd.Dataset:
-    """Shared dedup tail (used by ``dedup_exact`` and the training
-    pipeline): elect the min-``order_col`` row per ``key`` over the
-    SMALL columns only, then filter ``mat`` to the winners — broadcast
-    ``is_in`` under ``broadcast_limit`` winners, hash-shuffle semi-join
-    above it. ``order_col`` values must be unique across rows.
-    ``drop_cols`` are removed from the output (e.g. a synthetic order
-    key the caller added)."""
-    import pyarrow.compute as pc
+    """Shared dedup tail (``dedup_exact`` and the curation run): keep
+    the min-``order_col`` row per ``key`` of ``mat``, electing over the
+    SMALL columns only. Each batch first reduces to one
+    (key, ``order_part``) row per key; those partials are materialized,
+    and their row count (block metadata, no extra pass) picks the route:
 
-    import ray
+    - at most ``broadcast_limit`` partial rows: the driver pulls them,
+      reduces them with one Arrow group-by min, and broadcasts the
+      sorted winners into a streaming ``is_in`` filter over ``mat`` —
+      no shuffle;
+    - more: ``groupby(key).aggregate(Min)`` over the partials, then a
+      hash-shuffle semi-join of ``mat`` with the winners (both inputs
+      without empty blocks, see ``_nonempty_blocks``).
+
+    Zero partial rows always take the driver route (a hash join needs
+    at least one row on each side, see ``_nonempty_blocks``), so a
+    negative limit is refused. ``order_col`` values must be unique
+    across rows. ``drop_cols`` are removed from the output (e.g. a
+    synthetic order key the caller added)."""
+    if broadcast_limit < 0:
+        raise ValueError(f"broadcast_limit must be >= 0 (got {broadcast_limit})")
 
     def partial_min(t: pa.Table) -> pa.Table:
-        g = t.select([key, order_col]).group_by(key).aggregate([(order_col, "min")])
-        return g.rename_columns([key, "order_part"])
+        g = t.group_by(key).aggregate([(order_col, "min")])
+        return pa.table({key: g[key], "order_part": g[f"{order_col}_min"]})
 
-    # winner cardinality checked distributed BEFORE any driver collect:
-    # the over-limit path never pulls the winner set to the driver
-    winners_ds = (
-        mat.map_batches(partial_min, batch_format="pyarrow")
-        .groupby(key)
-        .aggregate(Min("order_part", alias_name="order_min"))
-        .select_columns(["order_min"])
-        .materialize()
-    )
+    partials = mat.map_batches(partial_min, batch_format="pyarrow").materialize()
 
     def strip(t: pa.Table) -> pa.Table:
         # (after the join: the right-side key may or may not survive)
         gone = [c for c in (*drop_cols, "order_min") if c in t.column_names]
         return t.drop_columns(gone) if gone else t
 
-    if winners_ds.count() <= broadcast_limit:
-        # an empty winner set comes back as one empty block without columns
-        blocks = [b for b in ray.get(winners_ds.to_arrow_refs()) if b.num_rows]
-        winners = pa.concat_tables(blocks)["order_min"] if blocks else pa.array([], pa.int64())
-        ref = ray.put(pa.array(np.sort(winners.to_numpy())))
+    if partials.count() <= broadcast_limit:
+        # an empty input leaves no block with columns
+        blocks = [b for b in ray.get(partials.to_arrow_refs()) if b.num_rows]
+        winners = (
+            pa.concat_tables(blocks).group_by(key).aggregate([("order_part", "min")])
+            ["order_part_min"].to_numpy() if blocks else np.array([], np.int64)
+        )
+        ref = ray.put(pa.array(np.sort(winners)))
 
         def keep_winners(t: pa.Table) -> pa.Table:
             return strip(t.filter(pc.is_in(t[order_col], value_set=ray.get(ref))))
 
         return mat.map_batches(keep_winners, batch_format="pyarrow")
 
-    joined = mat.join(
-        winners_ds, join_type="inner", num_partitions=_join_partitions(),
-        on=(order_col,), right_on=("order_min",),
+    winners = partials.groupby(key).aggregate(
+        Min("order_part", alias_name="order_min")
+    ).select_columns(["order_min"])
+    joined = _nonempty_blocks(mat).join(
+        _nonempty_blocks(winners), join_type="inner",
+        num_partitions=_join_partitions(), on=(order_col,), right_on=("order_min",),
     )
     return joined.map_batches(strip, batch_format="pyarrow")
+
+
+def _nonempty_blocks(ds: rd.Dataset) -> rd.Dataset:
+    """``ds`` materialized without its empty blocks, for a hash-join
+    input. Ray 2.49's hash join sends each input's schema to every
+    partition only with that input's first block, and an empty first
+    block sends nothing; a partition that then gets no row of that
+    input fails its Arrow join ("No match ... for key field
+    reference"; seen on a 3-block ``dedup_exact`` input). Rebuilding
+    the Dataset costs one small metadata task per kept block."""
+    refs = [
+        ref for bundle in ds.materialize().iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks if meta.num_rows
+    ]
+    return rd.from_arrow_refs(refs)
 
 
 def _coarse_of(keys, buckets: int):
