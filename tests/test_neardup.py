@@ -22,6 +22,19 @@ def docs_py():
     return list(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
 
 
+def _first_block_emptied(tables, expr):
+    """``tables`` as one block each, filtered by ``expr`` so that the
+    first block is left empty, materialized: the input shape on which a
+    Ray 2.49 hash join loses its key schema (the first block carries it
+    to every partition)."""
+    import ray.data as rd
+
+    ds = rd.from_arrow(tables).filter(expr=expr).materialize()
+    sizes = [m.num_rows for b in ds.iter_internal_ref_bundles() for _, m in b.blocks]
+    assert sizes[0] == 0 and sum(sizes) > 0, sizes
+    return ds
+
+
 def test_ngram_jaccard_exact(docs_ds, docs_py):
     from xs_vlm_ocr_ray.functions.textstats import jaccard, shingles
     from xs_vlm_ocr_ray.stages.dedup import ngram_jaccard_pairs
@@ -103,6 +116,36 @@ def test_simhash_cached_equals_pure(ray_session):
     assert out2["simhash"].to_pylist() == out["simhash"].to_pylist()
 
 
+def test_minhash_batch_equals_per_doc_reference(monkeypatch):
+    """``MinHasher.__call__`` (flat shingles, slabbed product, segmented
+    min) equals the per-doc ``_sig`` on every row: empty and
+    whitespace-only texts (no shingle), a one-word text (one shingle),
+    and a batch that spans several slabs, with one doc larger than a
+    whole slab."""
+    import pyarrow as pa
+
+    from xs_vlm_ocr_ray.functions.textstats import shingles
+    from xs_vlm_ocr_ray.stages.dedup import MinHasher
+
+    texts = [
+        "",
+        "lonely",
+        "   ",
+        " ".join(f"w{i}" for i in range(40)),
+        "the quick brown fox jumps over the lazy dog again and again",
+        "",
+        "unicode tökens ünd ßpecial 中文 词语 中文 more words here",
+        " ".join(f"v{i % 7}" for i in range(30)),
+    ]
+    h = MinHasher()
+    monkeypatch.setattr(MinHasher, "_SLAB_SHINGLES", 8)
+    assert max(len(shingles(x, h.k)) for x in texts) > MinHasher._SLAB_SHINGLES
+    out = h(pa.table({"doc_id": list(range(len(texts))), "text": texts}))
+    assert out["doc_id"].to_pylist() == list(range(len(texts)))
+    for x, sig in zip(texts, out["minhash"].to_pylist()):
+        assert sig == h._sig(x).tolist(), x
+
+
 def test_dedup_exact_winner_election(ray_session):
     """dedup_exact keeps exactly the min-order row per key on both
     routes: the driver election (partial rows within broadcast_limit)
@@ -131,12 +174,20 @@ def test_dedup_exact_winner_election(ray_session):
         .sort_values("content_hash")
         .reset_index(drop=True)
     )
+    # the same rows behind an emptied first block (block rows [0, 2, 4])
+    pre = pa.table({
+        "content_hash": ["a", "z"],
+        "doc_id": pa.array([-2, -1], pa.int64()),
+        "payload": pa.array(["n2", "n1"], pa.large_string()),
+    })
+    emptied = _first_block_emptied([pre, t.slice(0, 2), t.slice(2)], "doc_id >= 0")
     for limit in (5_000_000, 0):  # driver route, then groupby + semi-join
-        out = dedup_exact(rd.from_arrow(t).repartition(3), broadcast_limit=limit)
-        assert ("Join" in repr(out)) == (limit == 0)
-        assert out.schema().base_schema == t.schema
-        got = out.to_pandas().sort_values("content_hash").reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, want)
+        for ds in (rd.from_arrow(t).repartition(3), emptied):
+            out = dedup_exact(ds, broadcast_limit=limit)
+            assert ("Join" in repr(out)) == (limit == 0)
+            assert out.schema().base_schema == t.schema
+            got = out.to_pandas().sort_values("content_hash").reset_index(drop=True)
+            pd.testing.assert_frame_equal(got, want)
 
         out = dedup_exact(rd.from_arrow(t.slice(0, 0)), broadcast_limit=limit)
         assert "Join" not in repr(out) and out.count() == 0
@@ -303,32 +354,47 @@ def test_lsh_pairs_ds_oversized_counter(ray_session):
 
 def test_drop_neardups_ds_routes(docs_ds, ray_session):
     """drop_neardups_ds keeps the identical doc set on all three routes
-    (driver union-find / distributed CC + broadcast / CC + anti-join)."""
+    (driver union-find / distributed CC + broadcast / CC + anti-join),
+    also for a corpus whose first block a filter emptied (the anti-join
+    used to lose its left key schema there: ``ArrowInvalid: No match
+    ... for key field reference``)."""
     import pandas as pd
+    import pyarrow as pa
 
     import ray.data as rd
     from xs_vlm_ocr_ray.stages.dedup import drop_neardups, drop_neardups_ds
 
-    pairs = pd.DataFrame({"a": [1, 2, 10], "b": [2, 3, 11]})
-    pairs_ds = rd.from_pandas(pairs)
-    want = (
-        drop_neardups(docs_ds, pairs)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    for kw in (
-        {},  # driver union-find (under driver_pair_limit)
-        {"driver_pair_limit": 0},  # distributed CC + broadcast filter
-        {"driver_pair_limit": 0, "broadcast_limit": 0},  # CC + anti-join
+    blocks = [
+        pa.table({"doc_id": pa.array(ids, pa.int64()), "text": [f"t{i}" for i in ids]})
+        for ids in ([1, 2, 3], [20, 21], [22, 23, 24])
+    ]
+    # block rows [0, 2, 3]; with 4 join partitions these ids leave a
+    # partition without a left row
+    emptied = _first_block_emptied(blocks, "doc_id >= 10")
+    for docs, pairs in (
+        (docs_ds, pd.DataFrame({"a": [1, 2, 10], "b": [2, 3, 11]})),
+        (emptied, pd.DataFrame({"a": [1, 20, 21, 23], "b": [2, 21, 22, 24]})),
     ):
-        got = (
-            drop_neardups_ds(docs_ds, pairs_ds, **kw)
+        pairs_ds = rd.from_pandas(pairs)
+        want = (
+            drop_neardups(docs, pairs)
             .to_pandas()
             .sort_values("doc_id")
             .reset_index(drop=True)
         )
-        pd.testing.assert_frame_equal(got[want.columns], want)
+        for kw in (
+            {},  # driver union-find (under driver_pair_limit)
+            {"driver_pair_limit": 0},  # distributed CC + broadcast filter
+            {"driver_pair_limit": 0, "broadcast_limit": 0},  # CC + anti-join
+        ):
+            got = (
+                drop_neardups_ds(docs, pairs_ds, **kw)
+                .to_pandas()
+                .sort_values("doc_id")
+                .reset_index(drop=True)
+            )
+            pd.testing.assert_frame_equal(got[want.columns], want)
+    assert sorted(want["doc_id"]) == [20, 23]
     # empty edge list: corpus unchanged
     empty = rd.from_pandas(pd.DataFrame({"a": pd.Series([], dtype="int64"),
                                          "b": pd.Series([], dtype="int64")}))

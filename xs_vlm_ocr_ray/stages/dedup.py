@@ -11,13 +11,20 @@ standard training-data additions.
 
 The pair-set contract, shared by every near-dup generator:
 
-- the RAW stage emits ``(a, b, <payload>, n_oversized)`` rows with
-  strict ``a < b``, possibly one row per bucket or band a pair shares;
-- a bucket over the generator's cap (``max_bucket`` / ``max_posting``)
-  is skipped and counted IN BAND, never silently: its counter row
-  carries ``a == b == 0`` (impossible for a real pair) and the count in
-  ``n_oversized``; real pair rows carry 0 (the skew counters are the
-  FP-Hadoop lesson: a hot key must show up in the output);
+- ids are UNIQUE across the rows of a generator's input (one row per
+  doc or vector: ``doc_id``, ``vec_id``, the curation run's ``_order``),
+  so a bucket's distinct ids and its rows are the same set;
+- the RAW stage of every bucketed family is ONE kernel,
+  ``_bucket_pairs``: per bucket it keeps one row per distinct id,
+  sorted; a bucket with fewer than 2 ids emits nothing; a bucket over
+  the generator's cap (``max_bucket`` / ``max_posting``) is skipped and
+  counted IN BAND, never silently: its counter row carries ``a == b ==
+  0`` (impossible for a real pair) and the count in ``n_oversized``
+  (the skew counters are the FP-Hadoop lesson: a hot key must show up
+  in the output); otherwise the family's scorer picks the pairs. It
+  emits ``(a, b[, <payload>], n_oversized)`` rows with strict
+  ``a < b``, possibly one row per bucket or band a pair shares, and
+  real pair rows carry 0;
 - the Dataset form (``*_pairs_ds``) keeps one row per pair and the
   counter rows (``_distinct_pairs_ds``); ``real_pairs_ds`` strips the
   counter rows before the pairs are verified or clustered;
@@ -25,6 +32,11 @@ The pair-set contract, shared by every near-dup generator:
   ``collect_pairs``: the summed counter lands in
   ``attrs['n_oversized_buckets']`` and the pairs come back distinct,
   sorted by (a, b), with int64 ``a``/``b`` even when empty.
+
+Two more rules live in one place each: a Dataset is filtered by an id
+set only through ``_filter_ids`` (a broadcast ``is_in`` filter, or a
+semi/anti hash join), and a per-key attribute reaches pair rows only
+through the reduce-side join ``_attach_attr``.
 
 Scale notes (100 TB design point):
 - every groupby here is preceded by a within-batch partial reduce, so
@@ -37,7 +49,7 @@ Scale notes (100 TB design point):
 from __future__ import annotations
 
 import hashlib
-from itertools import combinations
+from itertools import chain
 
 import numpy as np
 import pandas as pd
@@ -154,14 +166,13 @@ def elect_and_filter_winners(
       sorted winners into a streaming ``is_in`` filter over ``mat`` —
       no shuffle;
     - more: ``groupby(key).aggregate(Min)`` over the partials, then a
-      hash-shuffle semi-join of ``mat`` with the winners (both inputs
-      without empty blocks, see ``_nonempty_blocks``).
+      hash-shuffle semi-join of ``mat`` with the winners.
 
-    Zero partial rows always take the driver route (a hash join needs
-    at least one row on each side, see ``_nonempty_blocks``), so a
-    negative limit is refused. ``order_col`` values must be unique
-    across rows. ``drop_cols`` are removed from the output (e.g. a
-    synthetic order key the caller added)."""
+    Both routes are ``_filter_ids``. Zero partial rows always take the
+    driver route (a hash join needs at least one row on each side, see
+    ``_nonempty_blocks``), so a negative limit is refused. ``order_col``
+    values must be unique across rows. ``drop_cols`` are removed from
+    the output (e.g. a synthetic order key the caller added)."""
     if broadcast_limit < 0:
         raise ValueError(f"broadcast_limit must be >= 0 (got {broadcast_limit})")
 
@@ -170,12 +181,6 @@ def elect_and_filter_winners(
         return pa.table({key: g[key], "order_part": g[f"{order_col}_min"]})
 
     partials = mat.map_batches(partial_min, batch_format="pyarrow").materialize()
-
-    def strip(t: pa.Table) -> pa.Table:
-        # (after the join: the right-side key may or may not survive)
-        gone = [c for c in (*drop_cols, "order_min") if c in t.column_names]
-        return t.drop_columns(gone) if gone else t
-
     if partials.count() <= broadcast_limit:
         # an empty input leaves no block with columns
         blocks = [b for b in ray.get(partials.to_arrow_refs()) if b.num_rows]
@@ -183,21 +188,37 @@ def elect_and_filter_winners(
             pa.concat_tables(blocks).group_by(key).aggregate([("order_part", "min")])
             ["order_part_min"].to_numpy() if blocks else np.array([], np.int64)
         )
-        ref = ray.put(pa.array(np.sort(winners)))
+    else:
+        winners = partials.groupby(key).aggregate(
+            Min("order_part", alias_name=order_col)
+        ).select_columns([order_col])
+    out = _filter_ids(mat, order_col, winners, anti=False)
+    return out.drop_columns(list(drop_cols)) if drop_cols else out
 
-        def keep_winners(t: pa.Table) -> pa.Table:
-            return strip(t.filter(pc.is_in(t[order_col], value_set=ray.get(ref))))
 
-        return mat.map_batches(keep_winners, batch_format="pyarrow")
+def _filter_ids(ds: rd.Dataset, col: str, ids, anti: bool) -> rd.Dataset:
+    """The rows of ``ds`` whose ``col`` is in ``ids`` (``anti``: is not
+    in ``ids``), with the columns of ``ds`` only. The caller picks the
+    route from a count it already has:
 
-    winners = partials.groupby(key).aggregate(
-        Min("order_part", alias_name="order_min")
-    ).select_columns(["order_min"])
-    joined = _nonempty_blocks(mat).join(
-        _nonempty_blocks(winners), join_type="inner",
-        num_partitions=_join_partitions(), on=(order_col,), right_on=("order_min",),
-    )
-    return joined.map_batches(strip, batch_format="pyarrow")
+    - ``ids`` an array: sorted, ``ray.put`` once and applied as a
+      streaming ``is_in`` filter — no shuffle;
+    - ``ids`` a Dataset with one column, named ``col``: a ``left_semi``
+      (``left_anti``) hash join, both inputs through
+      ``_nonempty_blocks``, the partition count bounded by
+      ``_join_partitions``."""
+    if isinstance(ids, rd.Dataset):
+        return _nonempty_blocks(ds).join(
+            _nonempty_blocks(ids), join_type="left_anti" if anti else "left_semi",
+            num_partitions=_join_partitions(), on=(col,),
+        )
+    ref = ray.put(pa.array(np.sort(ids)))
+
+    def keep(t: pa.Table) -> pa.Table:
+        hit = pc.is_in(t[col], value_set=ray.get(ref))
+        return t.filter(pc.invert(hit) if anti else hit)
+
+    return ds.map_batches(keep, batch_format="pyarrow")
 
 
 def _nonempty_blocks(ds: rd.Dataset) -> rd.Dataset:
@@ -206,8 +227,10 @@ def _nonempty_blocks(ds: rd.Dataset) -> rd.Dataset:
     partition only with that input's first block, and an empty first
     block sends nothing; a partition that then gets no row of that
     input fails its Arrow join ("No match ... for key field
-    reference"; seen on a 3-block ``dedup_exact`` input). Rebuilding
-    the Dataset costs one small metadata task per kept block."""
+    reference"; seen on the winners of a 3-block ``dedup_exact`` input,
+    and on a ``drop_neardups_ds`` corpus whose first block a filter
+    emptied). Rebuilding the Dataset costs one small metadata task per
+    kept block."""
     refs = [
         ref for bundle in ds.materialize().iter_internal_ref_bundles()
         for ref, meta in bundle.blocks if meta.num_rows
@@ -218,10 +241,11 @@ def _nonempty_blocks(ds: rd.Dataset) -> rd.Dataset:
 def _coarse_of(keys, buckets: int):
     """Coarse shuffle key shared by every groupby-join here: the low
     bits of an integer key column, as int32. ``buckets`` must be a
-    power of two (the key is computed with a bit mask — callers
-    assert). ONE definition so a fix to the shuffle-key shape lands
-    everywhere at once."""
-    assert buckets > 0 and (buckets & (buckets - 1)) == 0, buckets
+    power of two (the key is computed with a bit mask). ONE definition
+    so a fix to the shuffle-key shape lands everywhere at once."""
+    assert buckets > 0 and (buckets & (buckets - 1)) == 0, (
+        f"coarse buckets must be a power of two (got {buckets})"
+    )
     if isinstance(keys, pa.ChunkedArray):
         keys = keys.combine_chunks()
     return pc.cast(
@@ -243,7 +267,14 @@ def _join_partitions(cap: int = 64) -> int:
 _PAIR = pa.schema([("a", pa.int64()), ("b", pa.int64())])
 _JACCARD = pa.field("jaccard", pa.float64())
 _SIM = pa.field("sim", pa.float64())
+_HAMMING = pa.field("hamming", pa.int64())
 _SHINGLES = pa.list_(pa.uint64())
+
+# coarse shuffle groups of every bucketed pair generator and reduce-side
+# join; the n-gram postings get more: a corpus has ~docs × shingles
+# distinct posting lists
+_COARSE_BUCKETS = 1024
+_POSTING_COARSE_BUCKETS = 4096
 
 
 def _empty_pairs(payload: pa.Field | None = None, counter: bool = False) -> pa.Table:
@@ -255,72 +286,85 @@ def _empty_pairs(payload: pa.Field | None = None, counter: bool = False) -> pa.T
     return pa.schema(fields).empty_table()
 
 
-def _by_coarse(
-    ds: rd.Dataset, key_col: str, coarse_buckets: int, fn, batch_format: str = "pandas"
-) -> rd.Dataset:
-    """``fn`` applied per COARSE group of ``ds``: the shuffle key is the
-    low bits of the integer ``key_col`` (``_coarse_of``), not the exact
-    bucket. Ray's ``map_groups`` pays per-group Python overhead and real
-    corpora have ~docs × bands tiny buckets, so grouping coarsely and
-    resolving the exact buckets with a vectorized groupby inside ``fn``
-    cuts the group count by orders of magnitude without changing the
-    result."""
-    assert coarse_buckets > 0 and (coarse_buckets & (coarse_buckets - 1)) == 0, (
-        f"coarse_buckets must be a power of two (got {coarse_buckets}): "
-        "the shuffle key is computed with a bit mask"
-    )
+def _by_coarse(ds: rd.Dataset, key_col: str, fn, buckets: int = _COARSE_BUCKETS) -> rd.Dataset:
+    """``fn`` applied per COARSE group of ``ds`` (an Arrow table in, an
+    Arrow table out): the shuffle key is the low bits of the integer
+    ``key_col`` (``_coarse_of``), not the exact bucket. Ray's
+    ``map_groups`` pays per-group Python overhead and real corpora have
+    ~docs × bands tiny buckets, so grouping coarsely and resolving the
+    exact buckets with a vectorized pass inside ``fn`` cuts the group
+    count by orders of magnitude without changing the result."""
 
     def add_coarse(t: pa.Table) -> pa.Table:
-        return t.append_column("coarse", _coarse_of(t[key_col], coarse_buckets))
+        return t.append_column("coarse", _coarse_of(t[key_col], buckets))
 
     return (
         ds.map_batches(add_coarse, batch_format="pyarrow")
         .groupby("coarse")
-        .map_groups(fn, batch_format=batch_format)
+        .map_groups(fn, batch_format="pyarrow")
     )
 
 
-def _all_pairs_in_buckets(
+def _bucket_pairs(
     ds: rd.Dataset,
     id_col: str,
-    group_cols,
-    key_col: str,
+    group_cols: tuple[str, ...],
     cap: int | None,
-    coarse_buckets: int,
+    score=None,
+    payload: pa.Field | None = None,
+    buckets: int = _COARSE_BUCKETS,
 ) -> rd.Dataset:
-    """Raw stage of the families that pair EVERY member of a bucket
-    (MinHash LSH bands, n-gram posting lists). Per bucket
-    (``group_cols``): the sorted distinct ids; fewer than 2 emit
-    nothing, more than ``cap`` (``None``: uncapped) are skipped and
-    counted, otherwise every i < j pair. Output (a, b, n_oversized)."""
+    """THE raw stage of every bucketed pair generator (the pair-set
+    contract in the module docstring). A bucket is a run of equal
+    ``group_cols``; the last of them is the coarse shuffle key. Per
+    bucket: one row per distinct id, sorted by id; fewer than 2 ids
+    emit nothing; more than ``cap`` (``None``: uncapped) are skipped and
+    counted into one ``a == b == 0`` counter row per coarse group;
+    otherwise ``score(rows)`` gets the bucket's rows (an Arrow table)
+    and returns the local indices ``i < j`` of its pairs and their
+    ``payload`` values. Without ``score`` every pair is emitted and
+    there is no payload (LSH bands, n-gram postings). Output
+    (a, b[, payload], n_oversized), a < b because the ids are sorted."""
+    schema = _empty_pairs(payload, counter=True).schema
+    zero = np.zeros(1, np.int64)
 
-    def per_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        out_a, out_b = [], []
-        n_oversized = 0
-        for _, g in df.groupby(group_cols):
-            ids = sorted(g[id_col].unique())
-            if len(ids) < 2:
-                continue
-            if cap is not None and len(ids) > cap:
-                n_oversized += 1
-                continue
-            for x, y in combinations(ids, 2):
-                out_a.append(x)
-                out_b.append(y)
-        over = [0] * len(out_a)
-        if n_oversized:
-            out_a.append(0)
-            out_b.append(0)
-            over.append(n_oversized)
-        return pd.DataFrame(
-            {
-                "a": pd.Series(out_a, dtype="int64"),
-                "b": pd.Series(out_b, dtype="int64"),
-                "n_oversized": pd.Series(over, dtype="int64"),
-            }
+    def per_coarse(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(c, "ascending") for c in (*group_cols, id_col)])
+        ids = t[id_col].to_numpy()
+        same = np.ones(max(len(ids) - 1, 0), bool)
+        for c in group_cols:
+            k = t[c].to_numpy()
+            same &= k[1:] == k[:-1]
+        first = np.concatenate([[True], ~same])  # a bucket starts here
+        keep = np.concatenate([[True], ~same | (ids[1:] != ids[:-1])])
+        t, ids = t.filter(keep), ids[keep]
+        starts = np.flatnonzero(first[keep])
+        sizes = np.diff(np.append(starts, len(ids)))
+        over = (sizes >= 2) & (sizes > (np.inf if cap is None else cap))
+        run = (sizes >= 2) & ~over
+        a, b, p = [], [], []
+        for s, m in zip(starts[run], sizes[run]):
+            if score is None:
+                i, j = np.triu_indices(m, 1)
+            else:
+                i, j, v = score(t.slice(s, m))
+                p.append(v)
+            a.append(ids[s + i])
+            b.append(ids[s + j])
+        n_over = int(np.count_nonzero(over))
+        counter = np.zeros(sum(map(len, a)) + bool(n_over), np.int64)
+        if n_over:
+            counter[-1] = n_over
+            for col in (a, b, p):
+                col.append(zero)
+        cols = [a, b, p][: len(schema) - 1]
+        return pa.Table.from_arrays(
+            [pa.array(np.concatenate(c) if c else [], f.type) for c, f in zip(cols, schema)]
+            + [pa.array(counter)],
+            schema=schema,
         )
 
-    return _by_coarse(ds, key_col, coarse_buckets, per_coarse)
+    return _by_coarse(ds, group_cols[-1], per_coarse, buckets)
 
 
 def _distinct_pairs_ds(raw: rd.Dataset, payload: pa.Field | None = None) -> rd.Dataset:
@@ -401,25 +445,39 @@ def _candidate_id_array(pairs_ds: rd.Dataset) -> pa.Array:
     return pa.array(np.sort(distinct["cid"].to_numpy()), pa.int64())
 
 
+def _flat_shingles(texts, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every text's word-``k``-shingle hash set (``textstats.shingles``;
+    ``None`` counts as empty), flattened: the hashes as one uint64
+    array, doc after doc, and the per-doc counts (int64). The one place
+    shingle sets become arrays, for MinHash, the n-gram index, the
+    verify paths and decontamination."""
+    per_doc = [shingles(x or "", k) for x in texts]
+    counts = np.fromiter(map(len, per_doc), dtype=np.int64, count=len(per_doc))
+    flat = np.fromiter(chain.from_iterable(per_doc), dtype=np.uint64, count=int(counts.sum()))
+    return flat, counts
+
+
 def _candidate_shingles(
     docs_ds: rd.Dataset, cand_ids: pa.Array, text_col: str, id_col: str, shingle_k: int
 ) -> rd.Dataset:
     """(key, sh) rows for the CANDIDATE docs only: each doc's shingle
     hashes as a sorted uint64 list (empty for a doc without shingles;
     sorted → ``assume_unique`` intersects downstream). The candidate set
-    is broadcast once via ``ray.put`` into a vectorized ``is_in`` filter
-    — driver state is O(candidates), never O(corpus)."""
-    ref = ray.put(cand_ids)
+    is broadcast once into ``_filter_ids``' ``is_in`` filter — driver
+    state is O(candidates), never O(corpus)."""
 
     def collect(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t[id_col], value_set=ray.get(ref)))
-        sh = [
-            np.sort(np.fromiter(shingles(x or "", shingle_k), dtype=np.uint64))
-            for x in t[text_col].to_pylist()
-        ]
-        return pa.table({"key": t[id_col].cast(pa.int64()), "sh": pa.array(sh, _SHINGLES)})
+        flat, counts = _flat_shingles(t[text_col].to_pylist(), shingle_k)
+        doc = np.repeat(np.arange(len(counts)), counts)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        sh = pa.ListArray.from_arrays(
+            pa.array(offsets, pa.int32()), pa.array(flat[np.lexsort((flat, doc))])
+        )
+        return pa.table({"key": t[id_col].cast(pa.int64()), "sh": sh})
 
-    return docs_ds.map_batches(collect, batch_format="pyarrow")
+    return _filter_ids(docs_ds, id_col, cand_ids, anti=False).map_batches(
+        collect, batch_format="pyarrow"
+    )
 
 
 def _candidate_set_sizes(
@@ -446,7 +504,6 @@ def _attach_attr(
     attr_col: str,
     out: pa.Field,
     finish=None,
-    coarse_buckets: int = 1024,
 ) -> rd.Dataset:
     """Reduce-side join: append ``attr_ds[attr_col]`` (any type, keyed
     by ``attr_ds``'s unique int ``key`` column) to every pair row whose
@@ -454,10 +511,11 @@ def _attach_attr(
     ``carry``. Attr rows and pair rows are tagged under ONE schema (each
     side's missing columns null), unioned, grouped by a coarse key hash
     and matched with a vectorized ``index_in`` inside each group — the
-    ``neardup_clusters_distributed`` pattern, no ``Dataset.join``. Pairs
-    whose key has no attr row are dropped (inner). ``finish`` runs on
-    each group's joined rows in the same task, so a wide joined row
-    never leaves it."""
+    one tagged union in this module, and no ``Dataset.join`` (whose Ray
+    2.49 planner mis-resolves a right side that is also unioned back
+    into the same plan). Pairs whose key has no attr row are dropped
+    (inner). ``finish`` runs on each group's joined rows in the same
+    task, so a wide joined row never leaves it."""
     fields = [*carry, out]
     schema = pa.schema([("key", pa.int64()), ("kind", pa.int8()), *fields])
 
@@ -491,7 +549,7 @@ def _attach_attr(
     tagged_ds = attr_ds.map_batches(tag_attr, batch_format="pyarrow").union(
         pairs_ds.map_batches(tag_pairs, batch_format="pyarrow")
     )
-    return _by_coarse(tagged_ds, "key", coarse_buckets, join, batch_format="pyarrow")
+    return _by_coarse(tagged_ds, "key", join)
 
 
 # --- MinHash + LSH near-dup ---------------------------------------------
@@ -562,34 +620,21 @@ class MinHasher:
         # (np.minimum.reduceat) over per-doc offsets — byte-identical
         # to the per-doc path (min of the same values over the same
         # segments), with the perm broadcast amortized across the slab
-        texts = t[self.text_col].to_pylist()
-        per_doc = [shingles(x or "", self.k) for x in texts]
-        sigs = np.full((len(texts), self.num_perm), np.iinfo(np.uint64).max, dtype=np.uint64)
+        flat, counts = _flat_shingles(t[self.text_col].to_pylist(), self.k)
+        ends = np.cumsum(counts)
+        sigs = np.full((len(counts), self.num_perm), np.iinfo(np.uint64).max, dtype=np.uint64)
         lo = 0
-        while lo < len(per_doc):
-            hi, slab_total = lo, 0
+        while lo < len(counts):
             # at least one doc per slab; otherwise fill to the budget
-            while hi < len(per_doc) and (
-                hi == lo or slab_total + len(per_doc[hi]) <= self._SLAB_SHINGLES
-            ):
-                slab_total += len(per_doc[hi])
-                hi += 1
-            if slab_total:
-                counts = np.fromiter(
-                    (len(s) for s in per_doc[lo:hi]), dtype=np.int64, count=hi - lo
-                )
-                flat = np.empty(slab_total, dtype=np.uint64)
-                pos = 0
-                for s in per_doc[lo:hi]:
-                    if s:
-                        flat[pos : pos + len(s)] = np.fromiter(s, dtype=np.uint64, count=len(s))
-                        pos += len(s)
-                prod = (self.a[:, None] * flat[None, :] + self.b[:, None]) % np.uint64(_MERSENNE)
-                nz = counts > 0
-                offsets = np.zeros(int(nz.sum()), dtype=np.int64)
-                np.cumsum(counts[nz][:-1], out=offsets[1:])
-                mins = np.minimum.reduceat(prod, offsets, axis=1)
-                sigs[lo:hi][nz] = mins.T
+            base = ends[lo] - counts[lo]
+            hi = max(lo + 1, int(np.searchsorted(ends, base + self._SLAB_SHINGLES, side="right")))
+            if ends[hi - 1] > base:
+                prod = (
+                    self.a[:, None] * flat[None, base : ends[hi - 1]] + self.b[:, None]
+                ) % np.uint64(_MERSENNE)
+                nz = counts[lo:hi] > 0
+                offsets = (ends[lo:hi] - counts[lo:hi] - base)[nz]
+                sigs[lo:hi][nz] = np.minimum.reduceat(prod, offsets, axis=1).T
             lo = hi
         return pa.table(
             {
@@ -632,35 +677,23 @@ def lsh_band_rows(
 
 
 def lsh_candidate_pairs_ds(
-    band_ds: rd.Dataset,
-    id_col: str = "doc_id",
-    max_bucket: int = 64,
-    coarse_buckets: int = 1024,
+    band_ds: rd.Dataset, id_col: str = "doc_id", max_bucket: int = 64
 ) -> rd.Dataset:
     """LSH buckets → DISTINCT candidate pairs (a, b, n_oversized), as a
     Dataset — the corpus-scale path (the pair list never funnels through
     the driver). A (band_id, band_hash) bucket holding more than
     ``max_bucket`` ids is the skew-guarded case."""
     return _distinct_pairs_ds(
-        _all_pairs_in_buckets(
-            band_ds, id_col, ["band_id", "band_hash"], "band_hash", max_bucket, coarse_buckets
-        )
+        _bucket_pairs(band_ds, id_col, ("band_id", "band_hash"), max_bucket)
     )
 
 
 def lsh_candidate_pairs(
-    band_ds: rd.Dataset,
-    id_col: str = "doc_id",
-    max_bucket: int = 64,
-    coarse_buckets: int = 1024,
+    band_ds: rd.Dataset, id_col: str = "doc_id", max_bucket: int = 64
 ) -> pd.DataFrame:
     """Driver-side form of ``lsh_candidate_pairs_ds`` (query surface /
     small corpora): distinct (a, b) pairs via ``collect_pairs``."""
-    return collect_pairs(
-        _all_pairs_in_buckets(
-            band_ds, id_col, ["band_id", "band_hash"], "band_hash", max_bucket, coarse_buckets
-        )
-    )
+    return collect_pairs(_bucket_pairs(band_ds, id_col, ("band_id", "band_hash"), max_bucket))
 
 
 def verify_pairs_jaccard(
@@ -698,7 +731,6 @@ def verify_pairs_jaccard_ds(
     id_col: str = "doc_id",
     shingle_k: int = 5,
     threshold: float = 0.5,
-    coarse_buckets: int = 1024,
 ) -> rd.Dataset:
     """Exact Jaccard verification of candidate pairs, Dataset-native —
     the corpus-scale path (``verify_pairs_jaccard`` is the driver-side
@@ -788,12 +820,10 @@ def verify_pairs_jaccard_ds(
         )
 
     sh_a = pa.field("sh_a", _SHINGLES)
-    with_a = _attach_attr(
-        pairs_ds, sh_ds, "a", _PAIR, "sh", sh_a, coarse_buckets=coarse_buckets
-    )
+    with_a = _attach_attr(pairs_ds, sh_ds, "a", _PAIR, "sh", sh_a)
     return _attach_attr(
         with_a, sh_ds, "b", _PAIR.append(sh_a), "sh", pa.field("sh_b", _SHINGLES),
-        finish=score, coarse_buckets=coarse_buckets,
+        finish=score,
     )
 
 
@@ -812,25 +842,14 @@ def _ngram_intersection_ds(
     → pair-keyed intersection counts. Output (a, b, i, n_oversized)."""
 
     def explode(t: pa.Table) -> pa.Table:
-        ids_out: list[int] = []
-        sh_out: list[int] = []
-        for i, x in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            ss = shingles(x or "", shingle_k)
-            if not ss:
-                continue
-            ids_out.extend([i] * len(ss))
-            sh_out.extend(ss)
-        return pa.table(
-            {
-                id_col: pa.array(ids_out, pa.int64()),
-                "sh": pa.array(sh_out, pa.uint64()),
-            }
-        )
+        flat, counts = _flat_shingles(t[text_col].to_pylist(), shingle_k)
+        ids = np.repeat(t[id_col].to_numpy(), counts)
+        return pa.table({id_col: pa.array(ids, pa.int64()), "sh": flat})
 
     postings = docs_ds.map_batches(explode, batch_format="pyarrow")
-    # a corpus has ~docs × shingles distinct posting lists: 4096 coarse
-    # groups, each resolved by a vectorized groupby on the shingle
-    pair_rows = _all_pairs_in_buckets(postings, id_col, "sh", "sh", max_posting, 4096)
+    pair_rows = _bucket_pairs(
+        postings, id_col, ("sh",), max_posting, buckets=_POSTING_COARSE_BUCKETS
+    )
     return pair_rows.groupby(["a", "b"]).aggregate(
         Count(alias_name="i"), Sum("n_oversized", alias_name="n_oversized")
     )
@@ -1100,33 +1119,18 @@ def _simhash_banded_pairs(
             }
         )
 
-    def pairs_per_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        n_oversized = 0
-        for _, g in df.groupby(["band_id", "band_val"]):
-            g = g.drop_duplicates(id_col).sort_values(id_col)
-            if len(g) < 2:
-                continue
-            if len(g) > max_bucket:
-                n_oversized += 1
-                continue
-            ids = g[id_col].to_numpy()
-            hs = g["simhash"].to_numpy().astype(np.uint64)
-            for i in range(len(ids)):
-                x = hs[i] ^ hs[i + 1 :]
-                d = np.array([bin(int(v)).count("1") for v in x])
-                for j in np.nonzero(d <= max_hamming)[0]:
-                    out.append((int(ids[i]), int(ids[i + 1 + j]), int(d[j]), 0))
-        if n_oversized:
-            out.append((0, 0, 0, n_oversized))
-        return pd.DataFrame(
-            out, columns=["a", "b", "hamming", "n_oversized"]
-        ).astype(
-            {"a": "int64", "b": "int64", "hamming": "int64", "n_oversized": "int64"}
-        )
+    def within_hamming(rows: pa.Table):
+        hs = rows["simhash"].to_numpy()
+        i, j = np.triu_indices(len(hs), 1)
+        x = (hs[i] ^ hs[j]).view(np.uint8).reshape(-1, 8)
+        d = np.unpackbits(x, axis=1).sum(axis=1, dtype=np.int64)  # popcount
+        ok = d <= max_hamming
+        return i[ok], j[ok], d[ok]
 
     banded = sig.map_batches(explode, batch_format="pyarrow")
-    return _by_coarse(banded, "band_val", 1024, pairs_per_coarse)
+    return _bucket_pairs(
+        banded, id_col, ("band_id", "band_val"), max_bucket, within_hamming, _HAMMING
+    )
 
 
 def simhash_neardup_pairs_ds(
@@ -1139,7 +1143,7 @@ def simhash_neardup_pairs_ds(
     plan): (a, b, hamming, n_oversized), never driver-side."""
     return _distinct_pairs_ds(
         _simhash_banded_pairs(docs_ds, max_hamming=max_hamming, text_col=text_col, id_col=id_col),
-        pa.field("hamming", pa.int64()),
+        _HAMMING,
     )
 
 
@@ -1158,7 +1162,7 @@ def simhash_neardup_pairs(
     result (``simhash_neardup_pairs_ds`` is the corpus-scale path)."""
     return collect_pairs(
         _simhash_banded_pairs(docs_ds, max_hamming=max_hamming, text_col=text_col, id_col=id_col),
-        pa.field("hamming", pa.int64()),
+        _HAMMING,
     )
 
 
@@ -1208,20 +1212,13 @@ def embedding_neardup_pairs_ds(
     # bounded driver assembly (≤ max_rows_bruteforce rows by the route
     # condition): ids + flat matrix, immediately ray.put
     all_df = emb_ds.to_pandas()
-    ids_all = all_df[id_col].to_numpy()
-    mat = np.stack([np.asarray(v, dtype=np.float64) for v in all_df[vec_col]])
+    ref = ray.put((all_df[id_col].to_numpy(), _unit_rows(all_df[vec_col])))
     del all_df
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    ref = ray.put((ids_all, mat / norms))
 
     def partial(t: pa.Table) -> pa.Table:
         ids_all, mat_n = ray.get(ref)  # shared-memory read, not a copy per batch
         ids_b = t[id_col].to_numpy(zero_copy_only=False)
-        m = np.stack([np.asarray(v, dtype=np.float64) for v in t[vec_col].to_pylist()])
-        nn = np.linalg.norm(m, axis=1, keepdims=True)
-        nn[nn == 0] = 1.0
-        sims = (m / nn) @ mat_n.T
+        sims = _unit_rows(t[vec_col].to_pylist()) @ mat_n.T
         ii, jj = np.nonzero(sims >= threshold)
         keep = ids_b[ii] < ids_all[jj]
         ii, jj = ii[keep], jj[keep]
@@ -1264,16 +1261,14 @@ def _embedding_neardup_bucketed_ds(
     threshold: float = 0.4,
     vec_col: str = "embedding",
     id_col: str = "vec_id",
-    num_planes: int = 12,
-    coarse_buckets: int = 1024,
     max_bucket: int = 4096,
 ) -> rd.Dataset:
-    """Approximate scale route: hyperplane-LSH bucket assignment, then
-    exact pairwise cosine WITHIN each bucket (grouped by a coarse bucket
-    prefix; exact buckets resolved with a vectorized inner pandas
-    groupby). Never materializes the corpus on the driver; the shuffle
-    moves each vector exactly once, and the pair dedup (a pair can
-    surface from more than one bucket) shuffles int64 triples only.
+    """Approximate scale route: hyperplane-LSH bucket assignment
+    (``ann.lsh_bucket_ids``, 12 planes), then exact pairwise cosine
+    WITHIN each bucket (``_bucket_pairs`` with a cosine scorer). Never
+    materializes the corpus on the driver; the shuffle moves each vector
+    exactly once, and the pair dedup (a pair can surface from more than
+    one bucket) shuffles int64 triples only.
 
     ``max_bucket`` is the skew guard (this route only runs above 500k
     rows, where low-entropy embeddings can concentrate millions of rows
@@ -1283,50 +1278,28 @@ def _embedding_neardup_bucketed_ds(
     same slab budget the MinHash path uses."""
     from .ann import lsh_bucket_ids
 
-    with_buckets = lsh_bucket_ids(emb_ds, num_planes=num_planes, vec_col=vec_col)
-
-    def per_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        out_frames = []
-        n_oversized = 0
-        for _, g in df.groupby("bucket"):
-            if len(g) < 2:
-                continue
-            if len(g) > max_bucket:
-                n_oversized += 1
-                continue
-            ids = g[id_col].to_numpy()
-            m = np.stack([np.asarray(v, dtype=np.float64) for v in g[vec_col]])
-            nn = np.linalg.norm(m, axis=1, keepdims=True)
-            nn[nn == 0] = 1.0
-            m = m / nn
-            sims = m @ m.T
-            ii, jj = np.nonzero(np.triu(sims >= threshold, k=1))
-            keep = ids[ii] != ids[jj]
-            ii, jj = ii[keep], jj[keep]
-            a = np.minimum(ids[ii], ids[jj])
-            b = np.maximum(ids[ii], ids[jj])
-            out_frames.append(
-                pd.DataFrame(
-                    {"a": a, "b": b, "sim": round_half_away(sims[ii, jj], 6),
-                     "n_oversized": np.zeros(len(a), dtype="int64")}
-                )
-            )
-        if n_oversized:
-            out_frames.append(
-                pd.DataFrame(
-                    {"a": [0], "b": [0], "sim": [0.0],
-                     "n_oversized": [n_oversized]}
-                )
-            )
-        if not out_frames:
-            return _empty_pairs(_SIM, counter=True).to_pandas()
-        out = pd.concat(out_frames, ignore_index=True)
-        return out.astype({"a": "int64", "b": "int64", "sim": "float64",
-                           "n_oversized": "int64"})
+    def cosine_at_least(rows: pa.Table):
+        m = _unit_rows(rows[vec_col].to_pylist())
+        sims = m @ m.T
+        i, j = np.nonzero(np.triu(sims >= threshold, k=1))
+        return i, j, round_half_away(sims[i, j], 6)
 
     return _distinct_pairs_ds(
-        _by_coarse(with_buckets, "bucket", coarse_buckets, per_coarse), _SIM
+        _bucket_pairs(
+            lsh_bucket_ids(emb_ds, vec_col=vec_col), id_col, ("bucket",), max_bucket,
+            cosine_at_least, _SIM,
+        ),
+        _SIM,
     )
+
+
+def _unit_rows(vectors) -> np.ndarray:
+    """The vectors as float64 matrix rows scaled to unit length (a zero
+    vector stays zero)."""
+    m = np.stack([np.asarray(v, dtype=np.float64) for v in vectors])
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return m / norms
 
 
 # --- near-dup clustering (connected components over pair lists) ----------
@@ -1374,28 +1347,16 @@ def neardup_clusters(pairs: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def _drop_ids(docs_ds: rd.Dataset, drop_ids: np.ndarray, id_col: str) -> rd.Dataset:
-    """Streaming filter that drops ``drop_ids`` from ``docs_ds``: the id
-    set is broadcast once via ``ray.put`` into an ``is_in`` filter; the
-    corpus is never shuffled or materialized."""
-    ref = ray.put(pa.array(np.sort(drop_ids), pa.int64()))
-
-    def keep(t: pa.Table) -> pa.Table:
-        return t.filter(pc.invert(pc.is_in(t[id_col], value_set=ray.get(ref))))
-
-    return docs_ds.map_batches(keep, batch_format="pyarrow")
-
-
 def drop_neardups(
     docs_ds: rd.Dataset, pairs: pd.DataFrame, id_col: str = "doc_id"
 ) -> rd.Dataset:
     """Keep one representative per near-dup cluster (the min-id member)
     plus every unpaired doc. The DROP set (non-representative members of
     clusters — bounded by the number of near-dup docs, not the corpus)
-    goes into the broadcast filter ``_drop_ids``."""
+    goes into ``_filter_ids``' broadcast filter."""
     clusters = neardup_clusters(pairs)
     drop = clusters.loc[clusters["doc_id"] != clusters["cluster_id"], "doc_id"]
-    return _drop_ids(docs_ds, drop.to_numpy(), id_col)
+    return _filter_ids(docs_ds, id_col, drop.to_numpy(), anti=True)
 
 
 def drop_neardups_ds(
@@ -1414,11 +1375,11 @@ def drop_neardups_ds(
     - ≤ ``driver_pair_limit`` edges: collect the (int64, int64) edge
       list and run the driver union-find — exactly ``drop_neardups``;
     - above it: ``neardup_clusters_distributed`` (min-label
-      propagation; shuffles int64 triples only), then the drop set
-      (non-representative members) is broadcast into a streaming
-      ``is_in`` filter under ``broadcast_limit``, else anti-joined via
-      a bounded-partition hash shuffle. The corpus itself never
-      shuffles on any route."""
+      propagation; shuffles int64 rows only), then the drop set
+      (non-representative members) goes to ``_filter_ids``: broadcast
+      into a streaming ``is_in`` filter under ``broadcast_limit``, else
+      anti-joined by a bounded-partition hash shuffle. The corpus itself
+      never shuffles on the first two routes."""
     pairs_mat = pairs_ds.select_columns(["a", "b"]).materialize()
     n_pairs = pairs_mat.count()
     if n_pairs == 0:
@@ -1426,92 +1387,43 @@ def drop_neardups_ds(
     if n_pairs <= driver_pair_limit:
         return drop_neardups(docs_ds, pairs_mat.to_pandas(), id_col=id_col)
 
-    clusters = neardup_clusters_distributed(pairs_mat)
-
     def non_reps(t: pa.Table) -> pa.Table:
         t = t.filter(pc.not_equal(t["doc_id"], t["cluster_id"]))
-        return t.select(["doc_id"])
+        return pa.table({id_col: t["doc_id"]})
 
-    drop_ds = clusters.map_batches(non_reps, batch_format="pyarrow").materialize()
+    drop_ds = neardup_clusters_distributed(pairs_mat).map_batches(
+        non_reps, batch_format="pyarrow"
+    ).materialize()
     if drop_ds.count() <= broadcast_limit:
-        return _drop_ids(docs_ds, drop_ds.to_pandas()["doc_id"].to_numpy(), id_col)
-
-    # anti-join: left_outer against a marked drop set, keep the
-    # unmatched rows (marker null). Partition count bounded by cluster
-    # CPUs (one aggregator actor per partition — see _join_partitions).
-    # The right key gets a UNIQUE name: Ray 2.49's join planner raises
-    # "multiple matches for key field" when both sides share the name.
-    def mark(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "_drop_id": t["doc_id"],
-                "_drop": pa.array(np.ones(t.num_rows, dtype=np.int8)),
-            }
-        )
-
-    # repartition before the join: the CC's map_groups stages leave
-    # schema-less EMPTY pandas blocks in the stream (Ray 2.49 emits
-    # PandasBlockSchema(names=[]) for groupless partitions and skips
-    # them in later map stages); a join whose right side carries such
-    # blocks synthesizes empty partitions without the key column and
-    # acero fails with "no match for key field". Repartition
-    # concatenates them away (cheap: the drop set, not the corpus).
-    joined = docs_ds.join(
-        drop_ds.map_batches(mark, batch_format="pyarrow").repartition(
-            _join_partitions()
-        ),
-        join_type="left_outer",
-        num_partitions=_join_partitions(),
-        on=(id_col,),
-        right_on=("_drop_id",),
-    )
-
-    def keep_unmarked(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_null(t["_drop"]))
-        gone = [c for c in ("_drop", "_drop_id") if c in t.column_names]
-        return t.drop_columns(gone)
-
-    return joined.map_batches(keep_unmarked, batch_format="pyarrow")
+        drop_ds = drop_ds.to_pandas()[id_col].to_numpy()
+    return _filter_ids(docs_ds, id_col, drop_ds, anti=True)
 
 
-def neardup_clusters_distributed(
-    pairs_ds: rd.Dataset, max_iters: int = 25, coarse_buckets: int = 1024
-) -> rd.Dataset:
+def neardup_clusters_distributed(pairs_ds: rd.Dataset, max_iters: int = 25) -> rd.Dataset:
     """Distributed connected components over a near-dup edge Dataset —
     the corpus-scale path when the pair list no longer fits a driver
     union-find (``neardup_clusters``).
 
-    Min-label propagation, implemented entirely with groupby machinery
-    (a REDUCE-SIDE join: label rows and edge rows are tagged, unioned,
-    and grouped by a coarse key-hash bucket; inside each bucket a
-    vectorized pandas merge delivers each node's current label to its
-    neighbors — no ``Dataset.join``, whose planner mis-resolves a
-    right side that is also unioned back into the same plan in Ray
-    2.49). Labels are monotone non-increasing, so convergence is
-    detected by the global label SUM reaching a fixpoint — one tiny
-    aggregate per round. Rounds needed = cluster diameter; near-dup
-    clusters are shallow, so this terminates in a handful of rounds.
-    Each round shuffles only (key, kind, value) int64 triples — never
-    documents.
+    Min-label propagation: each round, ``_attach_attr`` delivers every
+    node's current label to its neighbors and to itself (edge rows
+    carry ``edge_node`` and are keyed on ``nbr``; one self-loop per
+    node) and reduces the messages to one partial min per node inside
+    the join's task; a groupby Min gives the new labels. Labels are
+    monotone non-increasing, so convergence is detected by the global
+    label SUM reaching a fixpoint — one tiny aggregate per round. Rounds
+    needed = cluster diameter; near-dup clusters are shallow, so this
+    terminates in a handful of rounds. Each round shuffles only int64
+    rows — never documents.
 
     Input: Dataset with int64 columns ``a``, ``b`` (undirected edges).
     Output: Dataset (doc_id, cluster_id), one row per node appearing in
     any edge; cluster_id = min doc_id of the component.
     """
-    import pyarrow.compute as pc
-
-    assert coarse_buckets > 0 and (coarse_buckets & (coarse_buckets - 1)) == 0
 
     def both_dirs(t: pa.Table) -> pa.Table:
+        a, b = t["a"].combine_chunks(), t["b"].combine_chunks()
         return pa.table(
-            {
-                "edge_node": pa.concat_arrays(
-                    [t["a"].combine_chunks(), t["b"].combine_chunks()]
-                ),
-                "nbr": pa.concat_arrays(
-                    [t["b"].combine_chunks(), t["a"].combine_chunks()]
-                ),
-            }
+            {"edge_node": pa.concat_arrays([a, b]), "nbr": pa.concat_arrays([b, a])}
         )
 
     edges = pairs_ds.map_batches(both_dirs, batch_format="pyarrow").materialize()
@@ -1519,57 +1431,18 @@ def neardup_clusters_distributed(
     # initial labels: label[n] = n (distinct nodes via per-batch dedup +
     # groupby min — one tiny row per node per batch crosses the shuffle)
     def init_labels(t: pa.Table) -> pa.Table:
-        import pandas as _pd
+        nodes = pa.array(pd.unique(t["edge_node"].to_numpy()), pa.int64())
+        return pa.table({"key": nodes, "label": nodes})
 
-        nodes = _pd.unique(t["edge_node"].to_numpy(zero_copy_only=False))
-        return pa.table({"node": pa.array(nodes, pa.int64()),
-                         "label": pa.array(nodes, pa.int64())})
+    def new_labels(messages: rd.Dataset) -> rd.Dataset:
+        return messages.groupby("key").aggregate(Min("label", alias_name="label")).materialize()
 
-    labels = (
-        edges.map_batches(init_labels, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Min("label", alias_name="label"))
-        .materialize()
-    )
+    def self_loop(t: pa.Table) -> pa.Table:
+        return pa.table({"edge_node": t["key"], "nbr": t["key"]})
 
-    # tagged rows share ONE null-free schema: (key, kind, val).
-    # kind 0: "node key carries label val"; kind 1: "node key has
-    # neighbor val" (val = the edge's other endpoint).
-    def tag_labels(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "key": pc.cast(t["node"], pa.int64()),
-                "kind": pa.array(np.zeros(n, dtype=np.int8)),
-                "val": pc.cast(t["label"], pa.int64()),
-            }
-        )
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "key": pc.cast(t["nbr"], pa.int64()),
-                "kind": pa.array(np.ones(n, dtype=np.int8)),
-                "val": pc.cast(t["edge_node"], pa.int64()),
-            }
-        )
-
-    def add_coarse(t: pa.Table) -> pa.Table:
-        return t.append_column("coarse", _coarse_of(t["key"], coarse_buckets))
-
-    def per_coarse(df: pd.DataFrame) -> pd.DataFrame:
-        lab = df[df["kind"] == 0][["key", "val"]].rename(columns={"val": "label"})
-        edg = df[df["kind"] == 1][["key", "val"]].rename(columns={"val": "node"})
-        # deliver each key's label to its neighbors (vectorized merge),
-        # and keep each key's own label
-        msgs = edg.merge(lab, on="key")[["node", "label"]]
-        own = lab.rename(columns={"key": "node"})[["node", "label"]]
-        out = pd.concat([own, msgs], ignore_index=True)
-        # partial reduce: one row per node per bucket
-        return out.groupby("node", as_index=False)["label"].min().astype(
-            {"node": "int64", "label": "int64"}
-        )
+    def node_min(t: pa.Table) -> pa.Table:
+        g = t.group_by("edge_node").aggregate([("label", "min")])
+        return pa.table({"key": g["edge_node"], "label": g["label_min"]})
 
     def label_sum(lab: rd.Dataset) -> int:
         def partial(t: pa.Table) -> pa.Table:
@@ -1578,20 +1451,16 @@ def neardup_clusters_distributed(
 
         return int(lab.map_batches(partial, batch_format="pyarrow").to_pandas()["s"].sum())
 
-    tagged_edges = edges.map_batches(tag_edges, batch_format="pyarrow").materialize()
+    labels = new_labels(edges.map_batches(init_labels, batch_format="pyarrow"))
+    # one self-loop per node: a node's own label is one of its messages
+    edges = edges.union(labels.map_batches(self_loop, batch_format="pyarrow")).materialize()
+    carry = pa.schema([("edge_node", pa.int64())])
+    label = pa.field("label", pa.int64())
     prev_sum = label_sum(labels)
     converged = False
     for _ in range(max_iters):
-        tagged = labels.map_batches(tag_labels, batch_format="pyarrow").union(
-            tagged_edges
-        )
-        labels = (
-            tagged.map_batches(add_coarse, batch_format="pyarrow")
-            .groupby("coarse")
-            .map_groups(per_coarse, batch_format="pandas")
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"))
-            .materialize()
+        labels = new_labels(
+            _attach_attr(edges, labels, "nbr", carry, "label", label, finish=node_min)
         )
         s = label_sum(labels)
         if s == prev_sum:
@@ -1612,7 +1481,7 @@ def neardup_clusters_distributed(
         )
 
     def rename(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t["node"], "cluster_id": t["label"]})
+        return pa.table({"doc_id": t["key"], "cluster_id": t["label"]})
 
     return labels.map_batches(rename, batch_format="pyarrow")
 
@@ -1655,26 +1524,11 @@ def decontaminate(
 
     def score(t: pa.Table) -> pa.Table:
         bench_arr = ray.get(bench_ref)  # shared-memory read per node
-        per_doc = [shingles(x or "", shingle_k) for x in t[text_col].to_pylist()]
-        counts = np.fromiter((len(s) for s in per_doc), dtype=np.int64, count=len(per_doc))
-        total = int(counts.sum())
-        flat = np.empty(total, dtype=np.uint64)
-        pos = 0
-        for s in per_doc:
-            if s:
-                flat[pos : pos + len(s)] = np.fromiter(s, dtype=np.uint64, count=len(s))
-                pos += len(s)
-        hit = (
-            np.isin(flat, bench_arr, assume_unique=False)
-            if total and len(bench_arr)
-            else np.zeros(total, dtype=bool)
-        )
-        cs = np.cumsum(hit, dtype=np.int64)
+        flat, counts = _flat_shingles(t[text_col].to_pylist(), shingle_k)
+        # hits per doc: differences of the running hit count at doc ends
+        cs = np.concatenate([[0], np.cumsum(np.isin(flat, bench_arr), dtype=np.int64)])
         ends = np.cumsum(counts)
-        starts = ends - counts
-        n_hit = np.zeros(len(per_doc), dtype=np.int64)
-        nz = ends > starts
-        n_hit[nz] = cs[ends[nz] - 1] - np.where(starts[nz] > 0, cs[starts[nz] - 1], 0)
+        n_hit = cs[ends] - cs[ends - counts]
         frac = np.where(counts > 0, n_hit / np.maximum(counts, 1), 0.0)
         out = t.append_column(
             "contamination", pa.array(round_half_away(frac, 6), pa.float64())
