@@ -246,18 +246,30 @@ def test_drop_neardups(ray_session):
     assert sorted(out["doc_id"]) == [1, 10, 50]
 
 
-def test_neardup_clusters_distributed_equivalence(ray_session):
+def test_neardup_clusters_distributed_equivalence(ray_session, monkeypatch):
     """Distributed label propagation == driver union-find on random
-    graphs, including long chains (multi-round propagation)."""
+    graphs, including long chains (multi-round propagation), and every
+    round's label Dataset has the same block count (the aggregate would
+    otherwise grow it round by round)."""
     import random
 
     import pandas as pd
 
     import ray.data as rd
+    from xs_vlm_ocr_ray.stages import dedup
     from xs_vlm_ocr_ray.stages.dedup import (
         neardup_clusters,
         neardup_clusters_distributed,
     )
+
+    label_blocks: list[int] = []
+    attach = dedup._attach_attr
+
+    def recording_attach(pairs_ds, attr_ds, *args, **kwargs):
+        label_blocks.append(attr_ds.num_blocks())
+        return attach(pairs_ds, attr_ds, *args, **kwargs)
+
+    monkeypatch.setattr(dedup, "_attach_attr", recording_attach)
 
     rng = random.Random(7)
     cases = [
@@ -274,6 +286,7 @@ def test_neardup_clusters_distributed_equivalence(ray_session):
     for pairs in cases:
         pairs = pairs[pairs["a"] != pairs["b"]].drop_duplicates()
         want = neardup_clusters(pairs).sort_values("doc_id").reset_index(drop=True)
+        label_blocks.clear()
         got = (
             neardup_clusters_distributed(rd.from_pandas(pairs))
             .to_pandas()
@@ -281,6 +294,8 @@ def test_neardup_clusters_distributed_equivalence(ray_session):
             .reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(got, want)
+        assert len(label_blocks) >= 2  # several propagation rounds ran
+        assert len(set(label_blocks)) == 1, label_blocks
 
 
 def test_lsh_pair_path_dataset_equivalence(docs_ds, ray_session):

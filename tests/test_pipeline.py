@@ -860,3 +860,109 @@ def test_read_pages_empty_respects_columns(ray_session, tmp_path):
     ) or (
         by_dir.reset_index(drop=True).equals(by_list.reset_index(drop=True))
     )
+
+
+def _gapped_store(pages_dir, out):
+    """A two-wave store shaped like a filtered stage-1 store: every odd
+    row_idx is dropped, so each shard's row_idx has gaps, and the
+    newest shard's rows from row_idx 20 on are failed. Returns the full
+    read-back as pandas."""
+    import pyarrow.compute as pc
+
+    from xs_vlm_ocr_ray.pipelines.extract import (
+        build_extract_ds,
+        read_results,
+        run_extract,
+    )
+    from xs_vlm_ocr_ray.sources.pages import list_shards
+
+    newest = len(list_shards(pages_dir)) - 1
+
+    def gaps(t):
+        t = t.filter(pc.equal(pc.bit_wise_and(t["row_idx"], 1), 0))
+        failed = pc.and_(
+            pc.equal(t["shard_id"], newest), pc.greater_equal(t["row_idx"], 20)
+        )
+        ok = pc.and_(t["success"], pc.invert(failed))
+        return t.set_column(t.schema.get_field_index("success"), "success", ok)
+
+    def builder(paths, skip):
+        return build_extract_ds(paths, skip_shards=skip).map_batches(
+            gaps, batch_format="pyarrow"
+        )
+
+    run_extract(pages_dir, out, wave_shards=2, ds_builder=builder)
+    full = read_results(out).to_pandas()
+    assert len(full) == 100 and not (full["row_idx"] % 2).any()
+    return full
+
+
+def test_gapped_store_row_range_and_preload(ray_session, tiny_pages_dir, tmp_path_factory):
+    """On a store with row_idx gaps, a projected row-range read returns
+    exactly the rows of a full read + filter and only the projected
+    columns (including ranges the manifest keeps but no row matches),
+    and preload_recent equals a brute-force recency scan when failed
+    rows at the newest shard's tail make its walk cross shards."""
+    from xs_vlm_ocr_ray.pipelines.extract import preload_recent, read_results
+    from xs_vlm_ocr_ray.state.manifest import load_manifest
+
+    out = str(tmp_path_factory.mktemp("gapped") / "out")
+    full = _gapped_store(tiny_pages_dir, out)
+    assert len({r["wave_dir"] for r in load_manifest(out).values()}) == 2
+
+    for lo, hi in [(0, 0), (1, 1), (9, 30), (10, 34), (47, 49), (-5, 2)]:
+        got = read_results(out, row_range=(lo, hi), columns=["url"]).to_pandas()
+        want = full[(full["row_idx"] >= lo) & (full["row_idx"] <= hi)]
+        assert set(got.columns) <= {"url"}  # an empty read has no columns
+        assert sorted(got.get("url", [])) == sorted(want["url"])
+
+    ok = full[full["success"]].sort_values(["shard_id", "row_idx"], ascending=False)
+    newest = full["shard_id"].max()
+    n_newest = int((ok["shard_id"] == newest).sum())
+    assert 0 < n_newest < int((full["shard_id"] == newest).sum())
+    for limit in (1, 3, n_newest, n_newest + 5, 60):
+        want: dict = {}
+        head = ok.head(limit)
+        for h, url, text in zip(head["content_hash"], head["url"], head["extracted_text"]):
+            if h and h not in want:
+                want[h] = {"url": url, "extracted_text": text}
+        assert preload_recent(out, limit=limit) == want
+    assert ok.head(n_newest + 5)["shard_id"].nunique() == 2  # the walk crossed
+
+
+def test_gapped_store_retain_recent(ray_session, tiny_pages_dir, tmp_path_factory):
+    """Retention on a store with row_idx gaps keeps exactly the newest N
+    rows by (shard_id, row_idx); the boundary shard's rewritten files
+    hold only rows at or above its cutoff."""
+    import os
+
+    from xs_vlm_ocr_ray.pipelines.extract import read_results, retain_recent
+    from xs_vlm_ocr_ray.state.manifest import load_manifest
+
+    out = str(tmp_path_factory.mktemp("gapped_retain") / "out")
+    full = _gapped_store(tiny_pages_dir, out)
+    man_before = load_manifest(out)
+    limit = 37  # 25 rows per shard: one whole shard plus a 12-row cut
+    want = full.sort_values(["shard_id", "row_idx"], ascending=False).head(limit)
+
+    summary = retain_recent(out, limit)
+    assert summary["retained_rows"] == limit
+    assert summary["dropped_rows"] == len(full) - limit
+    after = read_results(out).to_pandas()
+    key = ["shard_id", "row_idx"]
+    assert sorted(map(tuple, after[key].to_numpy())) == sorted(
+        map(tuple, want[key].to_numpy())
+    )
+    assert sorted(after["url"]) == sorted(want["url"])
+
+    man = load_manifest(out)
+    b_sid = sorted(set(want["shard_id"]))[0]
+    cutoff = int(want.loc[want["shard_id"] == b_sid, "row_idx"].min())
+    assert 0 < man[b_sid]["n_rows"] < man_before[b_sid]["n_rows"]
+    assert man[b_sid]["row_min"] == cutoff
+    wd = man[b_sid]["wave_dir"]
+    b_files = [f for f in os.listdir(wd) if f.startswith(f"part-s{b_sid:06d}-")]
+    assert b_files
+    for f in b_files:
+        idx = pq.read_table(os.path.join(wd, f), columns=["row_idx"])["row_idx"]
+        assert min(idx.to_pylist()) >= cutoff

@@ -24,6 +24,7 @@ import os
 import time
 
 import pyarrow as pa
+import pyarrow.dataset as pads
 
 import ray.data as rd
 
@@ -31,6 +32,7 @@ from ..sources.pages import list_shards, read_pages
 from ..stages.classify import classify_payload_kind
 from ..stages.extract_stage import HtmlExtractor
 from ..state.manifest import (
+    fsync_dir,
     load_manifest,
     write_shard_record,
     xor_hex_digests,
@@ -409,8 +411,8 @@ def _run_extract_locked(
             _ShardWriter(tmp_dir, fsync_data=fsync_data), batch_format="pyarrow"
         ).to_pandas()
         os.replace(tmp_dir, wave_dir)
-        _fsync_dir(wave_dir)     # entries created while it was .tmp-
-        _fsync_dir(results_dir)  # the rename itself
+        fsync_dir(wave_dir)     # entries created while it was .tmp-
+        fsync_dir(results_dir)  # the rename itself
         wall = time.perf_counter() - t0
         _manifest_from_partials(out_dir, wave_dir, paths, wall, partials, wave)
     total_wall = time.perf_counter() - t_start
@@ -458,12 +460,14 @@ def read_results(
       before ``read_parquet``;
     - ``row_range``: inclusive ``(lo, hi)`` on ``row_idx`` — shards
       whose manifest ``[row_min, row_max]`` misses the range are
-      file-pruned; an exact row filter is applied on the survivors.
+      file-pruned; the exact row filter on the survivors runs inside
+      the parquet scan (Arrow's scanner ``filter``).
     """
     man = load_manifest(out_dir)
     if shard_ids is not None:
         keep_ids = set(int(s) for s in shard_ids)
         man = {sid: rec for sid, rec in man.items() if sid in keep_ids}
+    row_filter = None
     if row_range is not None:
         lo, hi = row_range
         man = {
@@ -471,26 +475,31 @@ def read_results(
             for sid, rec in man.items()
             if rec["n_rows"] > 0 and rec["row_max"] >= lo and rec["row_min"] <= hi
         }
+        row_filter = (pads.field("row_idx") >= lo) & (pads.field("row_idx") <= hi)
     # via the module global: perfbench's store trace wraps it
     files = select_result_files(out_dir, man)
     if not files:
         # a fully-filtered run manifests every shard with zero rows and
         # writes no parquet at all — an empty dataset, not an error
         return rd.from_items([])
-    if row_range is None:
-        return rd.read_parquet(files, columns=columns)
-    helper = columns is not None and "row_idx" not in columns
-    ds = rd.read_parquet(files, columns=[*columns, "row_idx"] if helper else columns)
+    return rd.read_parquet(files, columns=columns, filter=row_filter)
 
-    def in_range(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
 
-        idx = t["row_idx"]
-        out = t.filter(pc.and_(pc.greater_equal(idx, lo), pc.less_equal(idx, hi)))
-        # a caller-specified projection gets exactly its columns back
-        return out.drop_columns(["row_idx"]) if helper else out
-
-    return ds.map_batches(in_range, batch_format="pyarrow")
+def _newest_shards(man: dict, limit: int, count_key: str) -> list[tuple[int, int]]:
+    """THE newest-first manifest walk (recency = lineage order): the
+    minimal suffix of newest shards whose ``count_key`` counts cover
+    ``limit``, as ``(shard_id, take)`` pairs, newest first. ``take`` is
+    the part of the shard's count inside the budget — the whole count
+    for every shard but the last, which may be cut."""
+    out: list[tuple[int, int]] = []
+    acc = 0
+    for sid in sorted(man, reverse=True):
+        if acc >= limit:
+            break
+        n = man[sid][count_key]
+        out.append((sid, min(n, limit - acc)))
+        acc += n
+    return out
 
 
 def preload_recent(
@@ -507,18 +516,14 @@ def preload_recent(
     monotone processing order (the timestamp analog). The distributed
     plan prunes columns (payloads never loaded, like the reference) AND
     files: the manifest's per-shard success counts identify the minimal
-    suffix of newest shards that covers ``limit`` successes, so a
-    billion-row store opens only its tail; the sort runs on that
-    bounded slice."""
+    suffix of newest shards that covers ``limit`` successes
+    (``_newest_shards``), so a billion-row store opens only its tail.
+    Each block keeps its own newest ``limit`` successes and the driver
+    merges those partials — no sort shuffle, driver state bounded by
+    ``limit`` rows per tail block."""
     man = load_manifest(out_dir)
-    tail_ids: list[int] = []
-    acc = 0
-    for sid in sorted(man, reverse=True):
-        tail_ids.append(sid)
-        acc += man[sid]["n_success"]
-        if acc >= limit:
-            break
-    if acc == 0:
+    tail = _newest_shards(man, limit, "n_success")
+    if not sum(take for _, take in tail):
         # fresh store, or every manifested shard fully filtered: there
         # are no parquet files to read back (read_results would return
         # a schema-less empty dataset whose collect has no columns)
@@ -527,21 +532,24 @@ def preload_recent(
         out_dir,
         columns=["url", "success", "content_hash", "extracted_text",
                  "shard_id", "row_idx"],
-        shard_ids=tail_ids,
+        shard_ids=[sid for sid, _ in tail],
     )
+    newest_first = [("shard_id", "descending"), ("row_idx", "descending")]
 
-    def keep_success(t: pa.Table) -> pa.Table:
-        return t.filter(t["success"])
+    def newest(t: pa.Table) -> pa.Table:
+        return t.filter(t["success"]).sort_by(newest_first).slice(0, limit)
 
+    parts = ds.map_batches(newest, batch_format="pyarrow", batch_size=None)
     recent = (
-        ds.map_batches(keep_success, batch_format="pyarrow")
-        .sort(["shard_id", "row_idx"], descending=[True, True])
-        .limit(limit)
-        .to_pandas()
+        pa.concat_tables(parts.iter_batches(batch_size=None, batch_format="pyarrow"))
+        .sort_by(newest_first)
+        .slice(0, limit)
     )
     out: dict[str, dict] = {}
     for h, url, text in zip(
-        recent["content_hash"], recent["url"], recent["extracted_text"]
+        recent["content_hash"].to_pylist(),
+        recent["url"].to_pylist(),
+        recent["extracted_text"].to_pylist(),
     ):
         if h and h not in out:
             out[h] = {"url": url, "extracted_text": text}
@@ -549,18 +557,22 @@ def preload_recent(
 
 
 class _CompactShard:
-    """Per-shard compaction kernel: one work item (shard + its file
-    list) in → that shard's rows rewritten as ≤ ``rows_per_file``-row
-    files in the new wave dir, stats rows out. Streams the input files
-    row-group-wise, so a multi-GB shard never materializes whole in the
-    task; writing goes through ``_ShardWriter`` so names, stats and
-    checksums follow the exact same contract as the original write."""
+    """THE store rewrite kernel, shared by compaction and retention: one
+    work item (shard, its file list, ``row_from``) in → that shard's
+    rows with ``row_idx >= row_from`` rewritten as ≤ ``rows_per_file``-
+    row files in the new wave dir, stats rows out. Compaction passes
+    ``row_from`` 0 (every row); retention passes its boundary shard's
+    cutoff. Streams the input files row-group-wise, so a multi-GB shard
+    never materializes whole in the task; writing goes through
+    ``_ShardWriter`` so names, stats and checksums follow the exact same
+    contract as the original write."""
 
     def __init__(self, tmp_dir: str, rows_per_file: int):
         self.tmp_dir = tmp_dir
         self.rows_per_file = rows_per_file
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
         import pyarrow.parquet as pq
 
         writer = _ShardWriter(self.tmp_dir)
@@ -572,6 +584,7 @@ class _CompactShard:
                 for rb in pq.ParquetFile(f).iter_batches(
                     batch_size=self.rows_per_file
                 ):
+                    rb = rb.filter(pc.greater_equal(rb["row_idx"], item["row_from"]))
                     # split at the exact boundary so no output file (and
                     # no flush) ever exceeds rows_per_file rows — a
                     # tail-of-file row group arriving on a nearly-full
@@ -589,6 +602,26 @@ class _CompactShard:
         if not stats:
             return _empty_stats_table()
         return pa.concat_tables(stats)
+
+
+def _rewrite_shards(
+    tmp_dir: str, items: list[dict], rows_per_file: int, carried: list[dict]
+):
+    """Run ``_CompactShard`` over ``items`` ({shard_id, files,
+    row_from}), one task per shard — a shard's files hold disjoint row
+    ranges by construction, so no row ever moves between workers.
+    Returns the rewrite's per-shard stats rows plus ``carried`` (stats
+    rows of shards kept without a rewrite) as one pandas frame."""
+    tables = [pa.Table.from_pylist(carried, schema=_empty_stats_table().schema)]
+    if items:
+        ds = rd.from_items(items, override_num_blocks=len(items)).map_batches(
+            _CompactShard(tmp_dir, rows_per_file), batch_format="pyarrow"
+        )
+        # iter_batches, not to_arrow_refs: on a lazy Dataset the latter
+        # fetches the schema by running the plan's first block again, and
+        # here that block is a shard rewrite
+        tables += ds.iter_batches(batch_size=None, batch_format="pyarrow")
+    return pa.concat_tables(tables).to_pandas()
 
 
 def _shard_file_lists(out_dir: str, man: dict) -> dict[int, list[str]]:
@@ -673,22 +706,11 @@ def compact_results(out_dir: str, rows_per_file: int = 100_000) -> dict:
         files = _shard_file_lists(out_dir, man)
         tmp_dir, wave_dir, files_before, old_dirs = _begin_rewrite(out_dir, man)
         items = [
-            {"shard_id": sid, "files": files.get(sid, [])}
+            {"shard_id": sid, "files": files[sid], "row_from": 0}
             for sid in sorted(man)
             if files.get(sid)  # zero-row shards: record-only repoint below
         ]
-        if items:
-            partials = (
-                rd.from_items(items, override_num_blocks=len(items))
-                .map_batches(
-                    _CompactShard(tmp_dir, rows_per_file), batch_format="pyarrow"
-                )
-                .to_pandas()
-            )
-        else:
-            import pandas as pd
-
-            partials = pd.DataFrame({"shard_id": []})
+        partials = _rewrite_shards(tmp_dir, items, rows_per_file, carried=[])
         return _finish_rewrite(
             out_dir, man, tmp_dir, wave_dir, partials, files_before, old_dirs,
             # compaction must be bit-preserving: every shard's rewritten
@@ -708,13 +730,13 @@ def retain_recent(out_dir: str, limit: int) -> dict:
     ``compact_results``, but whole-kept shards are hard-linked into
     the new wave rather than rewritten (see ``_retain_recent_locked``).
 
-    The manifest picks the cut without reading data: iterate shards
-    newest-first accumulating ``n_rows``; whole shards inside the
-    budget are kept outright, the one boundary shard is row-filtered,
-    everything older is dropped. Dropped shards KEEP a (zero-row)
-    manifest record — resume semantics are 'processed, retained zero
-    rows', never 'pending', exactly like the reference not re-OCRing
-    purged history."""
+    The manifest picks the cut without reading data: walk shards
+    newest-first accumulating ``n_rows`` (``_newest_shards``); whole
+    shards inside the budget are kept outright, the one boundary shard
+    is row-filtered, everything older is dropped. Dropped shards KEEP a
+    (zero-row) manifest record — resume semantics are 'processed,
+    retained zero rows', never 'pending', exactly like the reference
+    not re-OCRing purged history."""
     if limit < 1:
         raise ValueError(f"retention limit must be >= 1 (got {limit})")
     out_dir = os.path.abspath(out_dir)
@@ -727,16 +749,16 @@ def _retain_recent_locked(out_dir: str, limit: int) -> dict:
     HARD-LINKED into the new wave byte-unchanged (O(#files), zero data
     movement — copy2 fallback on filesystems without links) with their
     stats carried straight from the manifest; only the ONE boundary
-    shard is row-filtered through ``_ShardWriter``. Retention keeping
-    90% of a 100 TB store therefore costs one shard's rewrite plus
-    directory operations, not a rewrite of 90 TB. Crash-safety is the
-    shared ``_begin_rewrite``/``_finish_rewrite`` contract; linked
-    inodes survive the old wave dirs' GC by construction."""
+    shard goes through the rewrite kernel (``_CompactShard``, from its
+    cutoff row on). Retention keeping 90% of a 100 TB store therefore
+    costs one shard's rewrite plus directory operations, not a rewrite
+    of 90 TB. Crash-safety is the shared
+    ``_begin_rewrite``/``_finish_rewrite`` contract; linked inodes
+    survive the old wave dirs' GC by construction."""
     import shutil
 
     import numpy as np
-    import pandas as pd
-    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
 
     man = load_manifest(out_dir)
     if not man:
@@ -748,77 +770,50 @@ def _retain_recent_locked(out_dir: str, limit: int) -> dict:
         # old dirs) would be a pure data no-op that still churns O(#files)
         # metadata and walks the rewrite's crash windows for nothing
         return {"retained_rows": total, "dropped_rows": 0}
-    keep_all: list[int] = []
-    boundary: tuple[int, int] | None = None  # (sid, rows_from_tail)
-    acc = 0
-    for sid in sorted(man, reverse=True):
-        n = man[sid]["n_rows"]
-        if acc >= limit:
-            break
-        if acc + n <= limit:
-            keep_all.append(sid)
-        else:
-            boundary = (sid, limit - acc)
-        acc += n
-    files = _shard_file_lists(out_dir, man)
-    tmp_dir, wave_dir, files_before, old_dirs = _begin_rewrite(out_dir, man)
-    partial_rows: list[dict] = []
-    for sid in keep_all:
-        for f in files.get(sid, []):
-            dst = os.path.join(tmp_dir, os.path.basename(f))
-            try:
-                os.link(f, dst)
-            except OSError as e:
-                # anything outside the no-link set (e.g. FileExistsError
-                # from a basename collision) must propagate, not be
-                # papered over by a silent copy2 overwrite
-                if e.errno not in _NO_LINK_ERRNOS:
-                    raise
-                shutil.copy2(f, dst)
-        rec = man[sid]
-        if rec["n_rows"]:
-            # stats carried from the manifest record, one value per
-            # _STATS_COLUMNS — the single schema every stats producer
-            # shares, so a new stat column fails loudly here instead of
-            # silently zero-filling whole-kept shards' records
-            partial_rows.append(
-                {
-                    k: (sid if k == "shard_id" else rec[k])
-                    for k in _STATS_COLUMNS
-                }
-            )
-    partials = pd.DataFrame(partial_rows or {"shard_id": []})
-    if boundary is not None:
-        b_sid, b_keep = boundary
-        # exact per-row cut inside the boundary shard: its newest
-        # b_keep rows by row_idx (single-shard, bounded driver state)
-        b_rows = read_results(out_dir, shard_ids=[b_sid], columns=["row_idx"])
-        idx = np.sort(b_rows.to_pandas()["row_idx"].to_numpy())
-        cutoff = int(idx[-b_keep])
-        b_ds = read_results(out_dir, shard_ids=[b_sid]).map_batches(
-            lambda t: t.filter(
-                pc.greater_equal(t["row_idx"], pa.scalar(cutoff, pa.int64()))
-            ),
-            batch_format="pyarrow",
-        )
-        bp = b_ds.map_batches(
-            _ShardWriter(tmp_dir), batch_format="pyarrow", batch_size=100_000
-        ).to_pandas()
-        partials = pd.concat([partials, bp], ignore_index=True) if len(partials) else bp
     # loss gate: kept-whole shards must re-appear at full size, the
     # boundary shard at exactly its keep count, dropped shards at zero
     expected = {sid: 0 for sid in man}
-    expected.update({sid: man[sid]["n_rows"] for sid in keep_all})
-    if boundary is not None:
-        expected[boundary[0]] = boundary[1]
+    expected.update(_newest_shards(man, limit, "n_rows"))
+    files = _shard_file_lists(out_dir, man)
+    tmp_dir, wave_dir, files_before, old_dirs = _begin_rewrite(out_dir, man)
+    linked: list[dict] = []
+    boundary: list[dict] = []
+    for sid, keep in expected.items():
+        rec = man[sid]
+        if keep == rec["n_rows"]:
+            for f in files.get(sid, []):
+                dst = os.path.join(tmp_dir, os.path.basename(f))
+                try:
+                    os.link(f, dst)
+                except OSError as e:
+                    # anything outside the no-link set (e.g. FileExistsError
+                    # from a basename collision) must propagate, not be
+                    # papered over by a silent copy2 overwrite
+                    if e.errno not in _NO_LINK_ERRNOS:
+                        raise
+                    shutil.copy2(f, dst)
+            if keep:
+                # stats carried from the manifest record, one value per
+                # _STATS_COLUMNS — the single schema every stats producer
+                # shares, so a new stat column fails loudly here instead
+                # of silently zero-filling whole-kept shards' records
+                linked.append({k: rec[k] for k in _STATS_COLUMNS})
+        elif keep:
+            # the boundary shard: its newest ``keep`` rows by row_idx,
+            # cut at a row_idx read from its own files in the driver
+            # (one shard, 8 B/row)
+            idx = pq.read_table(files[sid], columns=["row_idx"])["row_idx"].to_numpy()
+            cutoff = int(np.partition(idx, len(idx) - keep)[len(idx) - keep])
+            boundary.append({"shard_id": sid, "files": files[sid], "row_from": cutoff})
+    # compaction's default per-file row bound
+    partials = _rewrite_shards(tmp_dir, boundary, 100_000, carried=linked)
     summary = _finish_rewrite(
         out_dir, man, tmp_dir, wave_dir, partials, files_before, old_dirs,
         expected_rows=expected,
     )
-    retained = min(limit, total)
     return {
-        "retained_rows": retained,
-        "dropped_rows": total - retained,
+        "retained_rows": limit,
+        "dropped_rows": total - limit,
         **{k: v for k, v in summary.items() if k != "compacted_shards"},
     }
 
@@ -889,18 +884,13 @@ def _finish_rewrite(
     import shutil
 
     if expected_rows is not None:
-        got_rows: dict[int, int] = {}
-        got_hash: dict[int, str] = {}
-        if not partials.empty:
-            for sid, g in partials.groupby("shard_id"):
-                got_rows[int(sid)] = int(g["n_rows"].sum())
-                got_hash[int(sid)] = xor_hex_digests(g["hash_xor"])
+        got = _shard_records(partials)
         bad = []
         for sid, want in sorted(expected_rows.items()):
-            got = got_rows.get(sid, 0)
-            if got != want:
-                bad.append(f"shard {sid}: rewrote {got} rows, expected {want}")
-            elif expect_hashes and want and got_hash.get(sid) != man[sid]["hash_xor"]:
+            n = got[sid]["n_rows"] if sid in got else 0
+            if n != want:
+                bad.append(f"shard {sid}: rewrote {n} rows, expected {want}")
+            elif expect_hashes and want and got[sid]["hash_xor"] != man[sid]["hash_xor"]:
                 bad.append(f"shard {sid}: content checksum changed across rewrite")
         if bad:
             raise RuntimeError(
@@ -913,8 +903,8 @@ def _finish_rewrite(
 
     results_dir = os.path.join(out_dir, "results")
     os.replace(tmp_dir, wave_dir)
-    _fsync_dir(wave_dir)     # the new wave's directory entries
-    _fsync_dir(results_dir)  # the rename itself
+    fsync_dir(wave_dir)     # the new wave's directory entries
+    fsync_dir(results_dir)  # the rename itself
     shard_paths = {sid: rec["path"] for sid, rec in man.items()}
     _manifest_from_partials(
         out_dir, wave_dir, shard_paths, 0.0, partials, sorted(man)
@@ -934,20 +924,6 @@ def _finish_rewrite(
             1 for f in os.listdir(wave_dir) if f.endswith(".parquet")
         ),
     }
-
-
-def _fsync_dir(path: str) -> None:
-    """fsync a DIRECTORY so its entries (new files, renames) survive
-    power loss — file fsync alone does not persist the dirent. Best
-    effort: some filesystems refuse O_DIRECTORY fsync (suppressed; the
-    kill-9 crash model needs no fsync at all, this hardens the
-    power-loss one)."""
-    with _contextlib.suppress(OSError):
-        fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
 
 class _ShardWriter:
@@ -978,9 +954,9 @@ class _ShardWriter:
         if t.num_rows:
             _os.makedirs(self.out_dir, exist_ok=True)
             # one file per shard RUN in the batch: run_extract batches
-            # are single-shard (one work item per task), but the store
-            # rewrite path feeds lineage-sorted multi-shard blocks, and
-            # a file must never mix shards (the reader's filename
+            # are single-shard (one work item per task), but a
+            # ``ds_builder`` chain may hand over blocks spanning shards,
+            # and a file must never mix shards (the reader's filename
             # pruning parses one shard id per file)
             sids = t["shard_id"].to_numpy(zero_copy_only=False)
             change = np.nonzero(np.diff(sids))[0] + 1
@@ -1058,31 +1034,40 @@ def _manifest_from_partials(
     Shards in the wave that produced NO rows (zero-row parquet files)
     still get a zero record — otherwise resume would treat them as
     pending forever and never converge."""
-    seen = set(partials["shard_id"].astype(int)) if not partials.empty else set()
-    for sid in wave_shard_ids:
-        if sid in seen:
-            continue
+    recs = _shard_records(partials)
+    zero = {
+        "n_rows": 0, "n_success": 0, "n_error": 0, "processing_ms": 0,
+        "hash_xor": f"{0:032x}", "row_min": -1, "row_max": -1,
+    }
+    for sid in sorted(set(wave_shard_ids) | set(recs)):
         write_shard_record(out_dir, {
             "shard_id": int(sid),
+            **recs.get(sid, zero),
             "path": shard_paths[int(sid)],
-            "n_rows": 0, "n_success": 0, "n_error": 0, "processing_ms": 0,
-            "hash_xor": f"{0:032x}", "row_min": -1, "row_max": -1,
-            "wave_dir": wave_dir, "wave_wall_s": round(wall_s, 3),
+            "wave_dir": wave_dir,
+            "wave_wall_s": round(wall_s, 3),
         })
+
+
+def _shard_records(partials) -> dict[int, dict]:
+    """THE per-shard combine of writer stats rows (``_STATS_COLUMNS``,
+    any number per shard): row/success/error counts and
+    ``processing_ms`` summed, content hashes XOR-combined, row bounds
+    min/max. Feeds both the manifest records and the rewrite loss
+    gate."""
+    out: dict[int, dict] = {}
     if partials.empty:
-        return
+        return out
     for sid, g in partials.groupby("shard_id"):
-        rec = {
+        n_rows, n_success = int(g["n_rows"].sum()), int(g["n_success"].sum())
+        out[int(sid)] = {
             "shard_id": int(sid),
-            "path": shard_paths[int(sid)],
-            "n_rows": int(g["n_rows"].sum()),
-            "n_success": int(g["n_success"].sum()),
-            "n_error": int(g["n_rows"].sum() - g["n_success"].sum()),
+            "n_rows": n_rows,
+            "n_success": n_success,
+            "n_error": n_rows - n_success,
             "processing_ms": int(g["processing_ms"].sum()),
             "hash_xor": xor_hex_digests(g["hash_xor"]),
             "row_min": int(g["row_min"].min()),
             "row_max": int(g["row_max"].max()),
-            "wave_dir": wave_dir,
-            "wave_wall_s": round(wall_s, 3),
         }
-        write_shard_record(out_dir, rec)
+    return out

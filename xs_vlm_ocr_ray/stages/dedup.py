@@ -1427,6 +1427,9 @@ def neardup_clusters_distributed(pairs_ds: rd.Dataset, max_iters: int = 25) -> r
         )
 
     edges = pairs_ds.map_batches(both_dirs, batch_format="pyarrow").materialize()
+    # the aggregate emits as many blocks as it is fed (last round's
+    # labels plus the edges): a fixed count keeps the round cost flat
+    label_blocks = edges.num_blocks()
 
     # initial labels: label[n] = n (distinct nodes via per-batch dedup +
     # groupby min — one tiny row per node per batch crosses the shuffle)
@@ -1435,7 +1438,8 @@ def neardup_clusters_distributed(pairs_ds: rd.Dataset, max_iters: int = 25) -> r
         return pa.table({"key": nodes, "label": nodes})
 
     def new_labels(messages: rd.Dataset) -> rd.Dataset:
-        return messages.groupby("key").aggregate(Min("label", alias_name="label")).materialize()
+        agg = messages.groupby("key").aggregate(Min("label", alias_name="label"))
+        return agg.repartition(label_blocks, shuffle=False).materialize()
 
     def self_loop(t: pa.Table) -> pa.Table:
         return pa.table({"edge_node": t["key"], "nbr": t["key"]})

@@ -19,6 +19,7 @@ src/managers/HistoryManager.cpp:400-417) — made partition-granular:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -47,17 +48,24 @@ def write_shard_record(out_dir: str, record: dict) -> None:
         # persist the record's directory entry too: the record file is
         # fsync'd above, but a power loss can still drop the rename if
         # the directory itself never reaches disk
-        try:
-            dfd = os.open(d, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
-            try:
-                os.fsync(dfd)
-            finally:
-                os.close(dfd)
-        except OSError:
-            pass  # best effort — some filesystems refuse directory fsync
+        fsync_dir(d)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def fsync_dir(path: str) -> None:
+    """fsync a DIRECTORY so its entries (new files, renames) survive
+    power loss — file fsync alone does not persist the dirent. Best
+    effort: some filesystems refuse O_DIRECTORY fsync (suppressed; the
+    kill-9 crash model needs no fsync at all, this hardens the
+    power-loss one)."""
+    with contextlib.suppress(OSError):
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def load_manifest(out_dir: str) -> dict[int, dict]:
