@@ -966,3 +966,106 @@ def test_gapped_store_retain_recent(ray_session, tiny_pages_dir, tmp_path_factor
     for f in b_files:
         idx = pq.read_table(os.path.join(wd, f), columns=["row_idx"])["row_idx"]
         assert min(idx.to_pylist()) >= cutoff
+
+
+def test_read_tasks_packing_rule():
+    """The read-packing rule on its own (no Ray): a tiny store reads in
+    one task, a mid-size one in one task per CPU, a huge one in tasks of
+    at most the block target; never more tasks than files, never 0."""
+    from xs_vlm_ocr_ray.pipelines.extract import _read_tasks
+
+    mib = 1 << 20
+    blk = 128 * mib
+    assert _read_tasks(2_000_000, 4, 8, blk) == 1
+    assert _read_tasks(2_000_000, 400, 32, blk) == 1
+    assert _read_tasks(10 * mib, 100, 8, blk) == 3  # ceil(10 / 4) under 8 CPUs
+    assert _read_tasks(8 * 4 * mib, 1000, 8, blk) == 8
+    assert _read_tasks(8 * 100 * mib, 1000, 8, blk) == 8
+    assert _read_tasks(8 * blk, 1000, 8, blk) == 8
+    assert _read_tasks(8 * blk + 1, 1000, 8, blk) == 9
+    assert _read_tasks(40 * blk, 10_000, 8, blk) == 40
+    assert _read_tasks(40 * blk, 10_000, 1, blk) == 40
+    # never more tasks than files
+    assert _read_tasks(40 * blk, 3, 8, blk) == 3
+    assert _read_tasks(64 * mib, 2, 32, blk) == 2
+    # never 0
+    assert _read_tasks(0, 1, 8, blk) == 1
+    assert _read_tasks(1, 5, 8, blk) == 1
+    assert _read_tasks(2_000_000, 4, 0, blk) == 1
+    # an unbounded block target leaves the CPU term alone
+    assert _read_tasks(40 * blk, 10_000, 8, None) == 8
+
+
+def test_packed_reads_fragmented_store(ray_session, tiny_pages_dir, tmp_path_factory):
+    """On a two-wave store of many small files, packed reads return
+    exactly the rows of ``pq.read_table`` over the same manifest-pruned
+    files (all columns, a subset, shard ids, row ranges),
+    ``preload_recent`` equals a driver-side recency sort, and a shard
+    read plus a map runs as ONE fused ``ReadParquet->MapBatches`` operator
+    in one task."""
+    import re
+
+    import pyarrow as pa
+    from ray.data import DataContext
+
+    from xs_vlm_ocr_ray.pipelines.extract import (
+        preload_recent,
+        read_results,
+        run_extract,
+        select_result_files,
+    )
+    from xs_vlm_ocr_ray.state.manifest import load_manifest
+
+    out = str(tmp_path_factory.mktemp("packed") / "out")
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = 16 * 1024  # tiny blocks → many files/shard
+    try:
+        run_extract(tiny_pages_dir, out, wave_shards=2)
+    finally:
+        ctx.target_max_block_size = saved
+    man = load_manifest(out)
+    assert len({r["wave_dir"] for r in man.values()}) == 2
+    assert len(select_result_files(out, man)) >= 4 * len(man)
+
+    def rows(ds):
+        return pa.concat_tables(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+
+    by_url = [("url", "ascending")]
+    for columns, ids, rr in [
+        (None, None, None),
+        (["url", "extracted_text"], None, None),
+        (None, [1, 2], None),
+        (["url"], [3], None),
+        (None, None, (10, 34)),
+        (["url", "row_idx"], [0, 3], (0, 20)),
+    ]:
+        files = select_result_files(
+            out, man if ids is None else {s: man[s] for s in ids}
+        )
+        filters = None if rr is None else [("row_idx", ">=", rr[0]), ("row_idx", "<=", rr[1])]
+        want = pq.read_table(files, columns=columns, filters=filters)
+        got = rows(read_results(out, columns=columns, shard_ids=ids, row_range=rr))
+        assert want.num_rows and got.sort_by(by_url).equals(want.sort_by(by_url)), (
+            columns, ids, rr,
+        )
+
+    ok = (
+        pq.read_table(select_result_files(out, man)).to_pandas()
+        .query("success").sort_values(["shard_id", "row_idx"], ascending=False)
+    )
+    for limit in (1, 7, 60, 150, 1000):
+        want_recent: dict = {}
+        for h, url, text in zip(*(ok.head(limit)[c] for c in ("content_hash", "url", "extracted_text"))):
+            if h and h not in want_recent:
+                want_recent[h] = {"url": url, "extracted_text": text}
+        assert preload_recent(out, limit=limit) == want_recent
+
+    def f(t: pa.Table) -> pa.Table:
+        return t
+
+    for k in sorted(man):
+        mat = read_results(out, shard_ids=[k]).map_batches(f, batch_format="pyarrow").materialize()
+        ops = re.findall(r"^Operator \d+ (\S+): (\d+) tasks executed", mat.stats(), re.M)
+        assert ops == [("ReadParquet->MapBatches(f)", "1")], (k, ops)
+        assert mat.count() == man[k]["n_rows"]

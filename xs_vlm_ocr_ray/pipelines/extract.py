@@ -26,6 +26,7 @@ import time
 import pyarrow as pa
 import pyarrow.dataset as pads
 
+import ray
 import ray.data as rd
 
 from ..sources.pages import list_shards, read_pages
@@ -462,6 +463,19 @@ def read_results(
       whose manifest ``[row_min, row_max]`` misses the range are
       file-pruned; the exact row filter on the survivors runs inside
       the parquet scan (Arrow's scanner ``filter``).
+
+    Read packing: the surviving files, ``total`` bytes, are read in
+    ``k = clamp(max(ceil(total / target_max_block_size), min(CPUs,
+    ceil(total / 4 MiB))), 1, #files)`` tasks (``_read_tasks``), not one
+    task per file. Why: on a store of small files per-task overhead, not
+    parquet decode, sets a read's wall, so a tiny store reads in one
+    task, a mid-size one in one task per CPU and a huge one in tasks of
+    at most Ray's block target. And a plan with fewer read tasks than
+    Ray's default parallelism gets its read output re-split, which keeps
+    the next ``map_batches`` from fusing into the read; with at most one
+    task per file Ray never re-splits, so
+    ``read_results(...).map_batches(f)`` runs as one fused
+    ``ReadParquet->MapBatches(f)`` operator.
     """
     man = load_manifest(out_dir)
     if shard_ids is not None:
@@ -482,7 +496,31 @@ def read_results(
         # a fully-filtered run manifests every shard with zero rows and
         # writes no parquet at all — an empty dataset, not an error
         return rd.from_items([])
-    return rd.read_parquet(files, columns=columns, filter=row_filter)
+    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
+    k = _read_tasks(
+        sum(os.path.getsize(f) for f in files), len(files), cpus,
+        rd.DataContext.get_current().target_max_block_size,
+    )
+    return rd.read_parquet(
+        files, columns=columns, filter=row_filter, override_num_blocks=k
+    )
+
+
+# Spark's per-file open cost (``spark.sql.files.openCostInBytes``): a
+# read task is worth its scheduling only from about this many bytes on
+_OPEN_COST_BYTES = 4 << 20
+
+
+def _read_tasks(
+    total_bytes: int, n_files: int, cpus: int, max_block_bytes: int | None
+) -> int:
+    """THE read-packing rule: how many read tasks ``read_results`` gives
+    ``n_files`` files of ``total_bytes`` (the rule and its reasons are in
+    ``read_results``' docstring). ``max_block_bytes`` None is Ray's
+    unbounded block size."""
+    by_block = -(-total_bytes // max_block_bytes) if max_block_bytes else 1
+    k = max(by_block, min(cpus, -(-total_bytes // _OPEN_COST_BYTES)))
+    return max(1, min(k, n_files))
 
 
 def _newest_shards(man: dict, limit: int, count_key: str) -> list[tuple[int, int]]:
