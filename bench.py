@@ -240,25 +240,18 @@ def run_store_ops() -> dict:
     """Store-maintenance bench (VERDICT r3 #7): ingest the corpus into
     a results store (multi-wave → many small files, the shape a
     long-running store degrades into), then measure compact_results
-    and retain_recent walls + file counts at this scale, and a full
-    read_results scan before and after compaction. Retention keeps the
-    newest quarter of the shards plus half of the next one, so it
-    hard-links whole shards AND rewrites one boundary shard; the bench
-    fails if that shard was not rewritten. One JSON line."""
+    and retain_recent walls + file counts at this scale. One JSON line."""
     import ray
 
     _ray_init()
     from xs_vlm_ocr_ray.pipelines.extract import (
-        _newest_shards,
         compact_results,
         read_results,
         retain_recent,
         run_extract,
-        select_result_files,
     )
     from xs_vlm_ocr_ray.pipelines.queries import pages_dir_for
     from xs_vlm_ocr_ray.sources.pages import read_pages_simple
-    from xs_vlm_ocr_ray.state.manifest import load_manifest
 
     pages_dir = pages_dir_for(SF_DIR)
     n_rows = read_pages_simple(pages_dir, columns=["url"]).count()
@@ -282,42 +275,15 @@ def run_store_ops() -> dict:
         ctx.target_max_block_size = saved
     ingest_s = round(time.perf_counter() - t0, 3)
 
-    def scan() -> tuple[float, int]:
-        """Wall of one full read_results scan into the driver, and the
-        number of files it read."""
-        n_files = len(select_result_files(out, load_manifest(out)))
-        t0 = time.perf_counter()
-        got = sum(b.num_rows for b in read_results(out).iter_batches(
-            batch_size=None, batch_format="pyarrow"))
-        wall = round(time.perf_counter() - t0, 3)
-        if got != n_rows:
-            raise RuntimeError(f"store scan returned {got} rows, expected {n_rows}")
-        return wall, n_files
-
-    scan_fragmented_s, files_fragmented = scan()
     t0 = time.perf_counter()
     c = compact_results(out)
     compact_s = round(time.perf_counter() - t0, 3)
-    scan_compacted_s, files_compacted = scan()
 
-    man = load_manifest(out)
-    walk = _newest_shards(man, max(1, n_rows // 4), "n_rows")
-    b_sid = walk[-1][0]
-    b_keep = max(1, man[b_sid]["n_rows"] // 2)
-    limit = sum(take for _, take in walk[:-1]) + b_keep
-    b_files = select_result_files(out, {b_sid: man[b_sid]})
-    b_inodes = {os.stat(f).st_ino for f in b_files}
+    limit = max(1, n_rows // 4)
     t0 = time.perf_counter()
-    retain_recent(out, limit)
+    r = retain_recent(out, limit)
     retain_s = round(time.perf_counter() - t0, 3)
     n_after = read_results(out).count()
-    after = load_manifest(out)
-    rewritten = select_result_files(out, {b_sid: after[b_sid]})
-    # the kept rows sit in new files (inodes taken while the old files
-    # still existed), not in hard links of the old ones
-    if not (b_keep < man[b_sid]["n_rows"] and after[b_sid]["n_rows"] == b_keep
-            and rewritten and b_inodes.isdisjoint(os.stat(f).st_ino for f in rewritten)):
-        raise RuntimeError(f"retain_recent({limit}) did not rewrite boundary shard {b_sid}")
 
     result = {
         "metric": "store ops at corpus scale (compact + retain walls)",
@@ -325,17 +291,11 @@ def run_store_ops() -> dict:
         "unit": "sec",
         "rows": n_rows,
         "ingest_s": ingest_s,
-        "scan_fragmented_s": scan_fragmented_s,
-        "scan_fragmented_files": files_fragmented,
         "compact_s": compact_s,
         "files_before": c["files_before"],
         "files_after": c["files_after"],
-        "scan_compacted_s": scan_compacted_s,
-        "scan_compacted_files": files_compacted,
         "retain_s": retain_s,
         "retain_limit": limit,
-        "retain_boundary_shard": b_sid,
-        "retain_boundary_rows": after[b_sid]["n_rows"],
         "rows_after_retain": n_after,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,

@@ -969,46 +969,72 @@ def test_gapped_store_retain_recent(ray_session, tiny_pages_dir, tmp_path_factor
 
 
 def test_read_tasks_packing_rule():
-    """The read-packing rule on its own (no Ray): a tiny store reads in
-    one task, a mid-size one in one task per CPU, a huge one in tasks of
-    at most the block target; never more tasks than files, never 0."""
-    from xs_vlm_ocr_ray.pipelines.extract import _read_tasks
+    """The read-packing rule on its own (no Ray): one task per CPU,
+    never more tasks than files, never 0; the files come back in an
+    order whose equal-count runs (Ray's ``np.array_split``) are near
+    equal in bytes, each run in the given order, and sizes are read only
+    when the order matters."""
+    import numpy as np
 
-    mib = 1 << 20
-    blk = 128 * mib
-    assert _read_tasks(2_000_000, 4, 8, blk) == 1
-    assert _read_tasks(2_000_000, 400, 32, blk) == 1
-    assert _read_tasks(10 * mib, 100, 8, blk) == 3  # ceil(10 / 4) under 8 CPUs
-    assert _read_tasks(8 * 4 * mib, 1000, 8, blk) == 8
-    assert _read_tasks(8 * 100 * mib, 1000, 8, blk) == 8
-    assert _read_tasks(8 * blk, 1000, 8, blk) == 8
-    assert _read_tasks(8 * blk + 1, 1000, 8, blk) == 9
-    assert _read_tasks(40 * blk, 10_000, 8, blk) == 40
-    assert _read_tasks(40 * blk, 10_000, 1, blk) == 40
-    # never more tasks than files
-    assert _read_tasks(40 * blk, 3, 8, blk) == 3
-    assert _read_tasks(64 * mib, 2, 32, blk) == 2
-    # never 0
-    assert _read_tasks(0, 1, 8, blk) == 1
-    assert _read_tasks(1, 5, 8, blk) == 1
-    assert _read_tasks(2_000_000, 4, 0, blk) == 1
-    # an unbounded block target leaves the CPU term alone
-    assert _read_tasks(40 * blk, 10_000, 8, None) == 8
+    from xs_vlm_ocr_ray.pipelines.extract import _pack_read
+
+    def no_size(f):
+        raise AssertionError(f"size of {f} read with no order to choose")
+
+    files = list(range(10))
+    assert _pack_read(files, 1, no_size) == (files, 1)
+    assert _pack_read(files, 10, no_size) == (files, 10)
+    assert _pack_read(files, 32, no_size) == (files, 10)  # ≤ one task per file
+    assert _pack_read(files, 0, no_size) == (files, 1)  # never 0
+    assert _pack_read([7], 8, no_size) == ([7], 1)
+
+    def runs(order, k):
+        return [list(r) for r in np.array_split(order, k)]
+
+    def largest_share(order, k, sizes):
+        return max(sum(sizes[f] for f in r) for r in runs(order, k))
+
+    mb, kib = 10**6, 1 << 10
+    # a compacted store (8 files of 100 MB, the lowest shard ids, so listed
+    # first) that then got a wave of 92 files of 256 KiB, on 8 CPUs
+    sizes = [100 * mb] * 8 + [256 * kib] * 92
+    order, k = _pack_read(list(range(100)), 8, sizes.__getitem__)
+    assert k == 8 and sorted(order) == list(range(100))
+    assert largest_share(list(range(100)), 8, sizes) > 800 * mb  # in shard order
+    assert largest_share(order, 8, sizes) <= 100 * mb + 12 * 256 * kib
+    assert all(r == sorted(r) for r in runs(order, k))
+    # 4 CPUs, 5 files: Ray's first run holds two files, so the largest
+    # file goes to a one-file run
+    order, k = _pack_read(list(range(5)), 4, [1, 2, 3, 4, 50].__getitem__)
+    assert k == 4 and runs(order, 4) == [[0, 1], [4], [3], [2]]
+    # a file above total / k shares its task with the fewest bytes the
+    # equal counts allow (12 files in 4 tasks: 3 files each)
+    sizes = [1000] + [10] * 11
+    order, k = _pack_read(list(range(12)), 4, sizes.__getitem__)
+    assert largest_share(order, k, sizes) == 1000 + 2 * 10
 
 
 def test_packed_reads_fragmented_store(ray_session, tiny_pages_dir, tmp_path_factory):
-    """On a two-wave store of many small files, packed reads return
-    exactly the rows of ``pq.read_table`` over the same manifest-pruned
-    files (all columns, a subset, shard ids, row ranges),
-    ``preload_recent`` equals a driver-side recency sort, and a shard
-    read plus a map runs as ONE fused ``ReadParquet->MapBatches`` operator
-    in one task."""
+    """On a compacted store that then got a wave of many small files:
+    the packed read puts the compacted files in different read tasks —
+    as Ray itself splits the ordered list, read off the blocks it
+    returns — where the plain shard order would put both in the first
+    task; packed reads return exactly the rows of ``pq.read_table`` over
+    the same manifest-pruned files (all columns, a subset, shard ids,
+    row ranges); ``preload_recent`` equals a driver-side recency sort;
+    and a shard read plus a map runs as ONE fused
+    ``ReadParquet->MapBatches`` operator in one task per CPU (at most
+    one per file)."""
     import re
 
+    import numpy as np
     import pyarrow as pa
     from ray.data import DataContext
 
+    from xs_vlm_ocr_ray.cluster import cluster_cpus
     from xs_vlm_ocr_ray.pipelines.extract import (
+        _pack_read,
+        compact_results,
         preload_recent,
         read_results,
         run_extract,
@@ -1017,6 +1043,8 @@ def test_packed_reads_fragmented_store(ray_session, tiny_pages_dir, tmp_path_fac
     from xs_vlm_ocr_ray.state.manifest import load_manifest
 
     out = str(tmp_path_factory.mktemp("packed") / "out")
+    run_extract(tiny_pages_dir, out, wave_shards=2, max_waves=1)
+    compact_results(out)
     ctx = DataContext.get_current()
     saved = ctx.target_max_block_size
     ctx.target_max_block_size = 16 * 1024  # tiny blocks → many files/shard
@@ -1026,7 +1054,30 @@ def test_packed_reads_fragmented_store(ray_session, tiny_pages_dir, tmp_path_fac
         ctx.target_max_block_size = saved
     man = load_manifest(out)
     assert len({r["wave_dir"] for r in man.values()}) == 2
-    assert len(select_result_files(out, man)) >= 4 * len(man)
+    per_shard = {s: select_result_files(out, {s: man[s]}) for s in sorted(man)}
+    assert [len(per_shard[s]) for s in (0, 1)] == [1, 1]
+    assert min(len(per_shard[s]) for s in (2, 3)) >= 4
+    big = {per_shard[0][0], per_shard[1][0]}
+
+    files = select_result_files(out, man)
+    cpus = cluster_cpus()
+    order, k = _pack_read(files, cpus)
+    assert k == cpus == 4 and sorted(order) == sorted(files)
+
+    def task_of(plan, f):
+        return next(i for i, r in enumerate(np.array_split(plan, k)) if f in r)
+
+    assert len({task_of(files, f) for f in big}) == 1  # shard order: one task
+    assert len({task_of(order, f) for f in big}) == 2
+    sizes = {f: os.path.getsize(f) for f in files}
+    share = max(sum(sizes[f] for f in r) for r in np.array_split(order, k))
+    assert share <= sum(sizes.values()) / k + max(sizes.values())
+    n_rows = {f: pq.ParquetFile(f).metadata.num_rows for f in files}
+    want_blocks = sorted(sum(n_rows[f] for f in r) for r in np.array_split(order, k))
+    blocks = read_results(out, columns=["url"]).iter_batches(
+        batch_size=None, batch_format="pyarrow"
+    )
+    assert sorted(b.num_rows for b in blocks) == want_blocks
 
     def rows(ds):
         return pa.concat_tables(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
@@ -1065,7 +1116,8 @@ def test_packed_reads_fragmented_store(ray_session, tiny_pages_dir, tmp_path_fac
         return t
 
     for k in sorted(man):
+        tasks = min(cpus, len(per_shard[k]))
         mat = read_results(out, shard_ids=[k]).map_batches(f, batch_format="pyarrow").materialize()
         ops = re.findall(r"^Operator \d+ (\S+): (\d+) tasks executed", mat.stats(), re.M)
-        assert ops == [("ReadParquet->MapBatches(f)", "1")], (k, ops)
+        assert ops == [("ReadParquet->MapBatches(f)", str(tasks))], (k, ops)
         assert mat.count() == man[k]["n_rows"]

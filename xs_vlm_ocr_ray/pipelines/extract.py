@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import contextlib as _contextlib
 import errno as _errno
+import heapq
 import os
 import time
 
 import pyarrow as pa
 import pyarrow.dataset as pads
 
-import ray
 import ray.data as rd
 
+from ..cluster import cluster_cpus
 from ..sources.pages import list_shards, read_pages
 from ..stages.classify import classify_payload_kind
 from ..stages.extract_stage import HtmlExtractor
@@ -464,18 +465,18 @@ def read_results(
       file-pruned; the exact row filter on the survivors runs inside
       the parquet scan (Arrow's scanner ``filter``).
 
-    Read packing: the surviving files, ``total`` bytes, are read in
-    ``k = clamp(max(ceil(total / target_max_block_size), min(CPUs,
-    ceil(total / 4 MiB))), 1, #files)`` tasks (``_read_tasks``), not one
-    task per file. Why: on a store of small files per-task overhead, not
-    parquet decode, sets a read's wall, so a tiny store reads in one
-    task, a mid-size one in one task per CPU and a huge one in tasks of
-    at most Ray's block target. And a plan with fewer read tasks than
-    Ray's default parallelism gets its read output re-split, which keeps
-    the next ``map_batches`` from fusing into the read; with at most one
-    task per file Ray never re-splits, so
-    ``read_results(...).map_batches(f)`` runs as one fused
-    ``ReadParquet->MapBatches(f)`` operator.
+    Read packing (``_pack_read``): the surviving files are read in
+    ``k = clamp(CPUs, 1, #files)`` tasks, not one task per file. Why:
+    on a store of small files per-task overhead, not parquet decode,
+    sets a read's wall, and the CPUs bound how many tasks run at once.
+    And a plan with fewer read tasks than Ray's default parallelism
+    gets its read output re-split, which keeps the next ``map_batches``
+    from fusing into the read; with at most one task per file Ray never
+    re-splits, so ``read_results(...).map_batches(f)`` runs as one fused
+    ``ReadParquet->MapBatches(f)`` operator. Ray gives each task an
+    equal COUNT of files, so the files are ordered to make those runs
+    equal in bytes: a compacted store's few large files go to different
+    tasks, not all to the first one next to a newer wave's small files.
     """
     man = load_manifest(out_dir)
     if shard_ids is not None:
@@ -496,31 +497,37 @@ def read_results(
         # a fully-filtered run manifests every shard with zero rows and
         # writes no parquet at all — an empty dataset, not an error
         return rd.from_items([])
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    k = _read_tasks(
-        sum(os.path.getsize(f) for f in files), len(files), cpus,
-        rd.DataContext.get_current().target_max_block_size,
-    )
+    files, k = _pack_read(files, cluster_cpus())
     return rd.read_parquet(
         files, columns=columns, filter=row_filter, override_num_blocks=k
     )
 
 
-# Spark's per-file open cost (``spark.sql.files.openCostInBytes``): a
-# read task is worth its scheduling only from about this many bytes on
-_OPEN_COST_BYTES = 4 << 20
-
-
-def _read_tasks(
-    total_bytes: int, n_files: int, cpus: int, max_block_bytes: int | None
-) -> int:
-    """THE read-packing rule: how many read tasks ``read_results`` gives
-    ``n_files`` files of ``total_bytes`` (the rule and its reasons are in
-    ``read_results``' docstring). ``max_block_bytes`` None is Ray's
-    unbounded block size."""
-    by_block = -(-total_bytes // max_block_bytes) if max_block_bytes else 1
-    k = max(by_block, min(cpus, -(-total_bytes // _OPEN_COST_BYTES)))
-    return max(1, min(k, n_files))
+def _pack_read(files: list, cpus: int, size=os.path.getsize) -> tuple[list, int]:
+    """THE read-packing rule (the reasons are in ``read_results``'
+    docstring): ``k = clamp(cpus, 1, #files)`` read tasks, and the order
+    to hand ``files`` to Ray in. Ray's parquet read gives task ``i`` the
+    ``i``-th run of ``np.array_split(files, k)`` (equal counts, the
+    first ``#files % k`` runs one longer), so files are dealt largest
+    first to the run with the fewest bytes that still has room (on a
+    tie, the shorter run, so a large file does not take a slot a small
+    one could fill); each run keeps the files in their given order.
+    ``size`` is only called when there is a choice to make
+    (``1 < k < #files``)."""
+    n = len(files)
+    k = max(1, min(cpus, n))
+    if k in (1, n):
+        return files, k
+    sizes = [size(f) for f in files]
+    room = [n // k + (i < n % k) for i in range(k)]
+    runs: list[list[int]] = [[] for _ in range(k)]
+    heap = sorted((0, room[i], i) for i in range(k))
+    for j in sorted(range(n), key=lambda j: -sizes[j]):
+        load, _, i = heapq.heappop(heap)
+        runs[i].append(j)
+        if len(runs[i]) < room[i]:
+            heapq.heappush(heap, (load + sizes[j], room[i], i))
+    return [files[j] for run in runs for j in sorted(run)], k
 
 
 def _newest_shards(man: dict, limit: int, count_key: str) -> list[tuple[int, int]]:

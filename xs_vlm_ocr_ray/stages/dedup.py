@@ -62,6 +62,7 @@ import ray.data as rd
 from .ann import round_half_away
 from ray.data.aggregate import Count, Min, Sum
 
+from ..cluster import cluster_cpus
 from ..functions.textstats import jaccard, shingles
 
 # --- exact dedup ---------------------------------------------------------
@@ -258,8 +259,7 @@ def _join_partitions(cap: int = 64) -> int:
     join schedules one aggregator ACTOR per partition, so a partition
     count above the CPU count deadlocks small clusters (observed: 64
     partitions on a 4-CPU session never schedules)."""
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    return max(2, min(cap, cpus))
+    return max(2, min(cap, cluster_cpus()))
 
 
 # --- the pair-set contract (see the module docstring) --------------------
