@@ -969,71 +969,59 @@ def test_gapped_store_retain_recent(ray_session, tiny_pages_dir, tmp_path_factor
 
 
 def test_read_tasks_packing_rule():
-    """The read-packing rule on its own (no Ray): one task per CPU,
-    never more tasks than files, never 0; the files come back in an
-    order whose equal-count runs (Ray's ``np.array_split``) are near
-    equal in bytes, each run in the given order, and sizes are read only
-    when the order matters."""
-    import numpy as np
+    """The read-grouping rule on its own (no Ray): ``k`` = the CPU count
+    clamped to 1..#files groups, none empty, each in the given order;
+    the largest group holds at most total / k + the largest file; and a
+    compacted store's large files each get their own group."""
+    import random
 
-    from xs_vlm_ocr_ray.pipelines.extract import _pack_read
+    from xs_vlm_ocr_ray.pipelines.extract import _read_groups
 
-    def no_size(f):
-        raise AssertionError(f"size of {f} read with no order to choose")
+    def groups_of(sizes, cpus):
+        files = list(range(len(sizes)))
+        groups = _read_groups(files, cpus, sizes.__getitem__)
+        k = max(1, min(cpus, len(files)))
+        assert len(groups) == k and all(groups), (sizes, cpus, groups)
+        assert sorted(f for g in groups for f in g) == files
+        assert all(g == sorted(g) for g in groups)
+        largest = max(sum(sizes[f] for f in g) for g in groups)
+        assert largest <= sum(sizes) / k + max(sizes)
+        return groups
 
-    files = list(range(10))
-    assert _pack_read(files, 1, no_size) == (files, 1)
-    assert _pack_read(files, 10, no_size) == (files, 10)
-    assert _pack_read(files, 32, no_size) == (files, 10)  # ≤ one task per file
-    assert _pack_read(files, 0, no_size) == (files, 1)  # never 0
-    assert _pack_read([7], 8, no_size) == ([7], 1)
-
-    def runs(order, k):
-        return [list(r) for r in np.array_split(order, k)]
-
-    def largest_share(order, k, sizes):
-        return max(sum(sizes[f] for f in r) for r in runs(order, k))
+    for cpus in (0, 1, 3, 10, 32):
+        groups_of([5] * 10, cpus)
+    assert groups_of([7], 8) == [[0]]
+    groups_of([0] * 6, 4)  # zero-byte files still fill every group
+    rng = random.Random(7)
+    for _ in range(50):
+        sizes = [rng.choice([0, 1, 10, 1000, 10**6]) for _ in range(rng.randint(1, 40))]
+        groups_of(sizes, rng.randint(1, 12))
 
     mb, kib = 10**6, 1 << 10
     # a compacted store (8 files of 100 MB, the lowest shard ids, so listed
     # first) that then got a wave of 92 files of 256 KiB, on 8 CPUs
-    sizes = [100 * mb] * 8 + [256 * kib] * 92
-    order, k = _pack_read(list(range(100)), 8, sizes.__getitem__)
-    assert k == 8 and sorted(order) == list(range(100))
-    assert largest_share(list(range(100)), 8, sizes) > 800 * mb  # in shard order
-    assert largest_share(order, 8, sizes) <= 100 * mb + 12 * 256 * kib
-    assert all(r == sorted(r) for r in runs(order, k))
-    # 4 CPUs, 5 files: Ray's first run holds two files, so the largest
-    # file goes to a one-file run
-    order, k = _pack_read(list(range(5)), 4, [1, 2, 3, 4, 50].__getitem__)
-    assert k == 4 and runs(order, 4) == [[0, 1], [4], [3], [2]]
-    # a file above total / k shares its task with the fewest bytes the
-    # equal counts allow (12 files in 4 tasks: 3 files each)
-    sizes = [1000] + [10] * 11
-    order, k = _pack_read(list(range(12)), 4, sizes.__getitem__)
-    assert largest_share(order, k, sizes) == 1000 + 2 * 10
+    groups = groups_of([100 * mb] * 8 + [256 * kib] * 92, 8)
+    assert sorted(sum(f < 8 for f in g) for g in groups) == [1] * 8
 
 
 def test_packed_reads_fragmented_store(ray_session, tiny_pages_dir, tmp_path_factory):
     """On a compacted store that then got a wave of many small files:
-    the packed read puts the compacted files in different read tasks —
-    as Ray itself splits the ordered list, read off the blocks it
-    returns — where the plain shard order would put both in the first
-    task; packed reads return exactly the rows of ``pq.read_table`` over
-    the same manifest-pruned files (all columns, a subset, shard ids,
-    row ranges); ``preload_recent`` equals a driver-side recency sort;
-    and a shard read plus a map runs as ONE fused
-    ``ReadParquet->MapBatches`` operator in one task per CPU (at most
-    one per file)."""
+    the compacted files land in different read groups; a read plus a
+    map runs as ONE fused ``ReadResults->MapBatches(f)`` operator with
+    one task per group, each task's block holding its group's rows;
+    reads return exactly the rows of ``pq.read_table`` over the same
+    manifest-pruned files (all columns, a subset, shard ids, row
+    ranges); ``preload_recent`` equals a driver-side recency sort; and
+    a one-shard read plus a map is one fused operator too, in one task
+    per CPU (at most one per file)."""
     import re
 
-    import numpy as np
     import pyarrow as pa
     from ray.data import DataContext
 
     from xs_vlm_ocr_ray.cluster import cluster_cpus
     from xs_vlm_ocr_ray.pipelines.extract import (
-        _pack_read,
+        _read_groups,
         compact_results,
         preload_recent,
         read_results,
@@ -1059,25 +1047,26 @@ def test_packed_reads_fragmented_store(ray_session, tiny_pages_dir, tmp_path_fac
     assert min(len(per_shard[s]) for s in (2, 3)) >= 4
     big = {per_shard[0][0], per_shard[1][0]}
 
+    def f(t: pa.Table) -> pa.Table:
+        return t
+
+    def fused_ops(ds):
+        mat = ds.map_batches(f, batch_format="pyarrow").materialize()
+        ops = re.findall(r"^Operator \d+ (\S+): (\d+) tasks executed", mat.stats(), re.M)
+        return mat, ops
+
     files = select_result_files(out, man)
     cpus = cluster_cpus()
-    order, k = _pack_read(files, cpus)
-    assert k == cpus == 4 and sorted(order) == sorted(files)
-
-    def task_of(plan, f):
-        return next(i for i, r in enumerate(np.array_split(plan, k)) if f in r)
-
-    assert len({task_of(files, f) for f in big}) == 1  # shard order: one task
-    assert len({task_of(order, f) for f in big}) == 2
-    sizes = {f: os.path.getsize(f) for f in files}
-    share = max(sum(sizes[f] for f in r) for r in np.array_split(order, k))
-    assert share <= sum(sizes.values()) / k + max(sizes.values())
+    groups = _read_groups(files, cpus)
+    assert len(groups) == cpus == 4
+    assert sum(1 for g in groups if big & set(g)) == 2
     n_rows = {f: pq.ParquetFile(f).metadata.num_rows for f in files}
-    want_blocks = sorted(sum(n_rows[f] for f in r) for r in np.array_split(order, k))
-    blocks = read_results(out, columns=["url"]).iter_batches(
-        batch_size=None, batch_format="pyarrow"
+    mat, ops = fused_ops(read_results(out, columns=["url"]))
+    assert ops == [("ReadResults->MapBatches(f)", str(len(groups)))], ops
+    blocks = mat.iter_batches(batch_size=None, batch_format="pyarrow")
+    assert sorted(b.num_rows for b in blocks) == sorted(
+        sum(n_rows[f] for f in g) for g in groups
     )
-    assert sorted(b.num_rows for b in blocks) == want_blocks
 
     def rows(ds):
         return pa.concat_tables(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
@@ -1112,12 +1101,41 @@ def test_packed_reads_fragmented_store(ray_session, tiny_pages_dir, tmp_path_fac
                 want_recent[h] = {"url": url, "extracted_text": text}
         assert preload_recent(out, limit=limit) == want_recent
 
-    def f(t: pa.Table) -> pa.Table:
-        return t
-
     for k in sorted(man):
         tasks = min(cpus, len(per_shard[k]))
-        mat = read_results(out, shard_ids=[k]).map_batches(f, batch_format="pyarrow").materialize()
-        ops = re.findall(r"^Operator \d+ (\S+): (\d+) tasks executed", mat.stats(), re.M)
-        assert ops == [("ReadParquet->MapBatches(f)", str(tasks))], (k, ops)
+        mat, ops = fused_ops(read_results(out, shard_ids=[k]))
+        assert ops == [("ReadResults->MapBatches(f)", str(tasks))], (k, ops)
         assert mat.count() == man[k]["n_rows"]
+
+
+def test_store_read_runs_once(ray_session, tiny_pages_dir, tmp_path_factory):
+    """The results read's plan carries its schema: ``schema()`` runs no
+    plan, and ``to_arrow_refs()`` runs the read exactly once — one
+    "Execution plan of Dataset" line in the ``ray.data`` log, not a
+    second run of the first block to fetch the schema."""
+    import logging
+
+    import ray
+
+    from xs_vlm_ocr_ray.pipelines.extract import read_results, run_extract
+    from xs_vlm_ocr_ray.state.manifest import load_manifest
+
+    out = str(tmp_path_factory.mktemp("once") / "out")
+    run_extract(tiny_pages_dir, out, wave_shards=2)
+    messages: list[str] = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    log = logging.getLogger("ray.data")
+    log.addHandler(handler)
+    try:
+        schema = read_results(out, columns=["url", "success"]).schema()
+        assert schema.names == ["url", "success"]
+        assert not [m for m in messages if m.startswith("Execution plan of Dataset")]
+        tables = ray.get(read_results(out).to_arrow_refs())
+    finally:
+        log.removeHandler(handler)
+    plans = [m for m in messages if m.startswith("Execution plan of Dataset")]
+    assert len(plans) == 1, plans
+    assert sum(t.num_rows for t in tables) == sum(
+        r["n_rows"] for r in load_manifest(out).values()
+    )

@@ -26,8 +26,11 @@ import time
 
 import pyarrow as pa
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 import ray.data as rd
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 from ..cluster import cluster_cpus
 from ..sources.pages import list_shards, read_pages
@@ -433,8 +436,8 @@ def _run_extract_locked(
 def select_result_files(out_dir: str, man: dict) -> list[str]:
     """File-level manifest pruning: the files of ``man``'s shards, shard
     by shard (``_shard_file_lists``). Shards pruned from ``man`` (by id
-    or row range) never reach ``read_parquet`` — at 100 TB the plan
-    opens only the files it needs."""
+    or row range) never reach the read plan — at 100 TB the plan opens
+    only the files it needs."""
     lists = _shard_file_lists(out_dir, man)
     return [f for sid in sorted(lists) for f in lists[sid]]
 
@@ -459,24 +462,22 @@ def read_results(
     time-range scans, HistoryManager.cpp:153-229, generalized):
 
     - ``shard_ids``: read only these shards — pruned at the FILE list,
-      before ``read_parquet``;
+      before the read plan is built;
     - ``row_range``: inclusive ``(lo, hi)`` on ``row_idx`` — shards
       whose manifest ``[row_min, row_max]`` misses the range are
       file-pruned; the exact row filter on the survivors runs inside
       the parquet scan (Arrow's scanner ``filter``).
 
-    Read packing (``_pack_read``): the surviving files are read in
-    ``k = clamp(CPUs, 1, #files)`` tasks, not one task per file. Why:
-    on a store of small files per-task overhead, not parquet decode,
-    sets a read's wall, and the CPUs bound how many tasks run at once.
-    And a plan with fewer read tasks than Ray's default parallelism
-    gets its read output re-split, which keeps the next ``map_batches``
-    from fusing into the read; with at most one task per file Ray never
-    re-splits, so ``read_results(...).map_batches(f)`` runs as one fused
-    ``ReadParquet->MapBatches(f)`` operator. Ray gives each task an
-    equal COUNT of files, so the files are ordered to make those runs
-    equal in bytes: a compacted store's few large files go to different
-    tasks, not all to the first one next to a newer wave's small files.
+    Read tasks: the surviving files are dealt into ``k = clamp(CPUs, 1,
+    #files)`` groups, largest file first into the group with the fewest
+    bytes (``_read_groups``), one task per group streaming its files
+    through ``_store_batches``. Not one task per file: on a store of
+    small files per-task overhead, not decode, sets a read's wall. With
+    one block asked per task Ray never re-splits the read, so a next
+    ``map_batches(f)`` fuses into it (``ReadResults->MapBatches(f)``).
+    The plan schema (the first file's, projected) travels with the
+    tasks, so ``schema()`` and ``to_arrow_refs()`` never run the read
+    just to learn it.
     """
     man = load_manifest(out_dir)
     if shard_ids is not None:
@@ -497,37 +498,64 @@ def read_results(
         # a fully-filtered run manifests every shard with zero rows and
         # writes no parquet at all — an empty dataset, not an error
         return rd.from_items([])
-    files, k = _pack_read(files, cluster_cpus())
-    return rd.read_parquet(
-        files, columns=columns, filter=row_filter, override_num_blocks=k
+    schema = pads.dataset(files[0], format="parquet").scanner(columns=columns).projected_schema
+    groups = _read_groups(files, cluster_cpus())
+    return rd.read_datasource(
+        _ResultsDatasource(groups, columns, row_filter, schema),
+        override_num_blocks=len(groups),
     )
 
 
-def _pack_read(files: list, cpus: int, size=os.path.getsize) -> tuple[list, int]:
-    """THE read-packing rule (the reasons are in ``read_results``'
-    docstring): ``k = clamp(cpus, 1, #files)`` read tasks, and the order
-    to hand ``files`` to Ray in. Ray's parquet read gives task ``i`` the
-    ``i``-th run of ``np.array_split(files, k)`` (equal counts, the
-    first ``#files % k`` runs one longer), so files are dealt largest
-    first to the run with the fewest bytes that still has room (on a
-    tie, the shorter run, so a large file does not take a slot a small
-    one could fill); each run keeps the files in their given order.
-    ``size`` is only called when there is a choice to make
-    (``1 < k < #files``)."""
-    n = len(files)
-    k = max(1, min(cpus, n))
-    if k in (1, n):
-        return files, k
+def _read_groups(files: list, cpus: int, size=os.path.getsize) -> list[list]:
+    """THE read-grouping rule (reasons in ``read_results``): ``k =
+    clamp(cpus, 1, #files)`` groups, files dealt largest first into the
+    group with the fewest bytes (on a tie, fewer files: none stays
+    empty), each group in the given file order."""
+    k = max(1, min(cpus, len(files)))
     sizes = [size(f) for f in files]
-    room = [n // k + (i < n % k) for i in range(k)]
-    runs: list[list[int]] = [[] for _ in range(k)]
-    heap = sorted((0, room[i], i) for i in range(k))
-    for j in sorted(range(n), key=lambda j: -sizes[j]):
-        load, _, i = heapq.heappop(heap)
-        runs[i].append(j)
-        if len(runs[i]) < room[i]:
-            heapq.heappush(heap, (load + sizes[j], room[i], i))
-    return [files[j] for run in runs for j in sorted(run)], k
+    groups: list[list[int]] = [[] for _ in range(k)]
+    heap = [(0, 0, i) for i in range(k)]
+    for j in sorted(range(len(files)), key=lambda j: -sizes[j]):
+        load, n, i = heapq.heappop(heap)
+        groups[i].append(j)
+        heapq.heappush(heap, (load + sizes[j], n + 1, i))
+    return [[files[j] for j in sorted(g)] for g in groups]
+
+
+class _ResultsDatasource(Datasource):
+    """One read task per group, whatever parallelism Ray asks for."""
+
+    def __init__(self, groups: list, columns, row_filter, schema: pa.Schema):
+        self._groups = groups
+        self._scan = (columns, row_filter)
+        self._schema = schema
+
+    def get_name(self) -> str:
+        return "Results"
+
+    def estimate_inmemory_data_size(self) -> None:
+        return None
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        return [
+            ReadTask(
+                lambda files=files, scan=self._scan: _store_batches(files, *scan),
+                BlockMetadata(None, None, None, files),
+                schema=self._schema,
+            )
+            for files in self._groups
+        ]
+
+
+def _store_batches(files: list, columns=None, row_filter=None, batch_size: int = 131_072):
+    """THE store-file reader (read tasks and ``_CompactShard``):
+    ``files``' rows in file order as tables of ≤ ``batch_size`` rows,
+    projected and filtered in Arrow's scanner (``row_filter`` may name
+    columns outside ``columns``)."""
+    scan = pads.dataset(files, format="parquet").to_batches(
+        columns=columns, filter=row_filter, batch_size=batch_size
+    )
+    return (pa.Table.from_batches([b]) for b in scan)
 
 
 def _newest_shards(man: dict, limit: int, count_key: str) -> list[tuple[int, int]]:
@@ -607,8 +635,8 @@ class _CompactShard:
     rows with ``row_idx >= row_from`` rewritten as ≤ ``rows_per_file``-
     row files in the new wave dir, stats rows out. Compaction passes
     ``row_from`` 0 (every row); retention passes its boundary shard's
-    cutoff. Streams the input files row-group-wise, so a multi-GB shard
-    never materializes whole in the task; writing goes through
+    cutoff. Streams the input files through ``_store_batches``, so a
+    multi-GB shard never materializes whole in the task; writing goes through
     ``_ShardWriter`` so names, stats and checksums follow the exact same
     contract as the original write."""
 
@@ -617,33 +645,27 @@ class _CompactShard:
         self.rows_per_file = rows_per_file
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        import pyarrow.parquet as pq
-
         writer = _ShardWriter(self.tmp_dir)
         stats: list[pa.Table] = []
         for item in batch.to_pylist():
             buf: list = []
             n = 0
-            for f in item["files"]:
-                for rb in pq.ParquetFile(f).iter_batches(
-                    batch_size=self.rows_per_file
-                ):
-                    rb = rb.filter(pc.greater_equal(rb["row_idx"], item["row_from"]))
-                    # split at the exact boundary so no output file (and
-                    # no flush) ever exceeds rows_per_file rows — a
-                    # tail-of-file row group arriving on a nearly-full
-                    # buffer would otherwise double the bound
-                    while rb.num_rows:
-                        take = min(rb.num_rows, self.rows_per_file - n)
-                        buf.append(rb.slice(0, take))
-                        n += take
-                        rb = rb.slice(take)
-                        if n >= self.rows_per_file:
-                            stats.append(writer(pa.Table.from_batches(buf)))
-                            buf, n = [], 0
+            row_filter = pads.field("row_idx") >= item["row_from"]
+            for t in _store_batches(item["files"], None, row_filter, self.rows_per_file):
+                # split at the exact boundary so no output file (and
+                # no flush) ever exceeds rows_per_file rows — a
+                # tail-of-file row group arriving on a nearly-full
+                # buffer would otherwise double the bound
+                while t.num_rows:
+                    take = min(t.num_rows, self.rows_per_file - n)
+                    buf.append(t.slice(0, take))
+                    n += take
+                    t = t.slice(take)
+                    if n >= self.rows_per_file:
+                        stats.append(writer(pa.concat_tables(buf)))
+                        buf, n = [], 0
             if n:
-                stats.append(writer(pa.Table.from_batches(buf)))
+                stats.append(writer(pa.concat_tables(buf)))
         if not stats:
             return _empty_stats_table()
         return pa.concat_tables(stats)
@@ -803,7 +825,6 @@ def _retain_recent_locked(out_dir: str, limit: int) -> dict:
     import shutil
 
     import numpy as np
-    import pyarrow.parquet as pq
 
     man = load_manifest(out_dir)
     if not man:
@@ -994,7 +1015,6 @@ class _ShardWriter:
 
         import numpy as np
         import pandas as pd
-        import pyarrow.parquet as pq
 
         if t.num_rows:
             _os.makedirs(self.out_dir, exist_ok=True)
