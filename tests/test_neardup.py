@@ -35,20 +35,62 @@ def _first_block_emptied(tables, expr):
     return ds
 
 
+_ROUTE_MARKERS = ("broadcast_attach", "tag_pairs")
+
+
+def _both_attach_routes(monkeypatch):
+    """Run the caller's loop body once per ``_attach_attr`` route: the
+    broadcast (the module's size bound; every attribute side here is
+    small), then the tagged reduce-side join (bound -1). Yields the
+    operator-name marker of the route that should run."""
+    from xs_vlm_ocr_ray.stages import dedup
+
+    for bound, marker in zip((dedup._ATTR_BROADCAST_BYTES, -1), _ROUTE_MARKERS):
+        monkeypatch.setattr(dedup, "_ATTR_BROADCAST_BYTES", bound)
+        yield marker
+
+
+def _ran(ds, marker: str) -> bool:
+    """Whether ``ds``'s plan holds the ``_attach_attr`` route that
+    ``marker`` names and not the other one."""
+    plan = repr(ds)
+    return [m in plan for m in _ROUTE_MARKERS] == [m == marker for m in _ROUTE_MARKERS]
+
+
+def _shingle_sets(docs_py) -> dict:
+    from xs_vlm_ocr_ray.functions.textstats import shingles
+
+    return {i: shingles(x or "", 5) for i, x in docs_py}
+
+
+def _brute_ngram_pairs(docs_py, threshold: float) -> dict:
+    """(a, b) → exact Jaccard of every doc pair with two non-empty
+    shingle sets scoring ``threshold`` or more at 6 digits."""
+    from xs_vlm_ocr_ray.functions.textstats import jaccard
+
+    sets = _shingle_sets(docs_py)
+    ids = sorted(sets)
+    pairs = {
+        (a, b): jaccard(sets[a], sets[b])
+        for i, a in enumerate(ids)
+        for b in ids[i + 1 :]
+        if sets[a] and sets[b]
+    }
+    return {p: j for p, j in pairs.items() if round(j, 6) >= threshold}
+
+
+def _scored(df, col: str) -> dict:
+    """(a, b) → ``col`` of a pair frame whose pairs are distinct."""
+    out = dict(zip(zip(df["a"].tolist(), df["b"].tolist()), df[col].tolist()))
+    assert len(out) == len(df), "a pair occurs twice"
+    return out
+
+
 def test_ngram_jaccard_exact(docs_ds, docs_py):
-    from xs_vlm_ocr_ray.functions.textstats import jaccard, shingles
     from xs_vlm_ocr_ray.stages.dedup import ngram_jaccard_pairs
 
     got = ngram_jaccard_pairs(docs_ds, threshold=0.3)
-    sets = {i: shingles(x or "", 5) for i, x in docs_py}
-    ids = sorted(sets)
-    want = {
-        (a, b)
-        for i, a in enumerate(ids)
-        for b in ids[i + 1 :]
-        if sets[a] and sets[b] and round(jaccard(sets[a], sets[b]), 6) >= 0.3
-    }
-    assert set(zip(got["a"], got["b"])) == want
+    assert set(zip(got["a"], got["b"])) == set(_brute_ngram_pairs(docs_py, 0.3))
 
 
 def test_simhash_banding_exact(docs_ds, docs_py):
@@ -248,9 +290,10 @@ def test_drop_neardups(ray_session):
 
 def test_neardup_clusters_distributed_equivalence(ray_session, monkeypatch):
     """Distributed label propagation == driver union-find on random
-    graphs, including long chains (multi-round propagation), and every
-    round's label Dataset has the same block count (the aggregate would
-    otherwise grow it round by round)."""
+    graphs, including long chains (multi-round propagation), on both
+    ``_attach_attr`` routes, and every round's label Dataset has the
+    same block count (the aggregate would otherwise grow it round by
+    round)."""
     import random
 
     import pandas as pd
@@ -263,11 +306,13 @@ def test_neardup_clusters_distributed_equivalence(ray_session, monkeypatch):
     )
 
     label_blocks: list[int] = []
+    plans: list = []
     attach = dedup._attach_attr
 
     def recording_attach(pairs_ds, attr_ds, *args, **kwargs):
         label_blocks.append(attr_ds.num_blocks())
-        return attach(pairs_ds, attr_ds, *args, **kwargs)
+        plans.append(attach(pairs_ds, attr_ds, *args, **kwargs))
+        return plans[-1]
 
     monkeypatch.setattr(dedup, "_attach_attr", recording_attach)
 
@@ -283,34 +328,39 @@ def test_neardup_clusters_distributed_equivalence(ray_session, monkeypatch):
             }
         ),
     ]
-    for pairs in cases:
-        pairs = pairs[pairs["a"] != pairs["b"]].drop_duplicates()
-        want = neardup_clusters(pairs).sort_values("doc_id").reset_index(drop=True)
-        label_blocks.clear()
-        got = (
-            neardup_clusters_distributed(rd.from_pandas(pairs))
-            .to_pandas()
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got, want)
-        assert len(label_blocks) >= 2  # several propagation rounds ran
-        assert len(set(label_blocks)) == 1, label_blocks
+    for marker in _both_attach_routes(monkeypatch):
+        for pairs in cases:
+            pairs = pairs[pairs["a"] != pairs["b"]].drop_duplicates()
+            want = neardup_clusters(pairs).sort_values("doc_id").reset_index(drop=True)
+            label_blocks.clear()
+            plans.clear()
+            got = (
+                neardup_clusters_distributed(rd.from_pandas(pairs))
+                .to_pandas()
+                .sort_values("doc_id")
+                .reset_index(drop=True)
+            )
+            pd.testing.assert_frame_equal(got, want)
+            assert len(label_blocks) >= 2  # several propagation rounds ran
+            assert len(set(label_blocks)) == 1, label_blocks
+            assert all(_ran(p, marker) for p in plans), marker
 
 
-def test_lsh_pair_path_dataset_equivalence(docs_ds, ray_session):
-    """The Dataset-native LSH pair path (lsh_candidate_pairs_ds →
-    verify_pairs_jaccard_ds) must produce exactly the driver path's
-    verified pairs — same (a, b) set, same rounded jaccard values."""
+def test_lsh_pair_path_dataset_equivalence(docs_ds, docs_py, ray_session, monkeypatch):
+    """The Dataset-native LSH pair path (lsh_candidate_pairs_ds) finds
+    exactly the driver path's candidate pairs, and verify_pairs_jaccard_ds
+    keeps exactly the candidates whose brute-force Jaccard (Python
+    sets) reaches the threshold, with that value rounded to 6 digits,
+    on both ``_attach_attr`` routes."""
     import pandas as pd
 
+    from xs_vlm_ocr_ray.functions.textstats import jaccard
     from xs_vlm_ocr_ray.stages.dedup import (
         MinHasher,
         lsh_band_rows,
         lsh_candidate_pairs,
         lsh_candidate_pairs_ds,
         real_pairs_ds,
-        verify_pairs_jaccard,
         verify_pairs_jaccard_ds,
     )
 
@@ -325,20 +375,19 @@ def test_lsh_pair_path_dataset_equivalence(docs_ds, ray_session):
         got_pairs.astype({"a": "int64", "b": "int64"}), pairs_df[["a", "b"]]
     )
 
-    want = (
-        verify_pairs_jaccard(docs_ds, pairs_df, threshold=0.5)
-        .sort_values(["a", "b"])
-        .reset_index(drop=True)
-        .astype({"a": "int64", "b": "int64"})
-    )
-    got = (
-        verify_pairs_jaccard_ds(docs_ds, pairs_ds, threshold=0.5)
-        .to_pandas()
-        .sort_values(["a", "b"])
-        .reset_index(drop=True)
-    )
-    assert len(want) > 0
-    pd.testing.assert_frame_equal(got, want)
+    sets = _shingle_sets(docs_py)
+    candidates = zip(pairs_df["a"].tolist(), pairs_df["b"].tolist())
+    scores = {(a, b): jaccard(sets[a], sets[b]) for a, b in candidates}
+    # the median score: some candidates verify, some do not
+    threshold = sorted(scores.values())[len(scores) // 2]
+    want = {p: j for p, j in scores.items() if j >= threshold}
+    assert 0 < len(want) < len(scores)
+    for marker in _both_attach_routes(monkeypatch):
+        verified = verify_pairs_jaccard_ds(docs_ds, pairs_ds, threshold=threshold)
+        assert _ran(verified, marker)
+        got = verified.to_pandas()
+        assert list(got.dtypes) == ["int64", "int64", "float64"]
+        assert _scored(got, "jaccard") == pytest.approx(want, abs=1e-6)
 
 
 def test_lsh_pairs_ds_oversized_counter(ray_session):
@@ -473,29 +522,25 @@ def test_simhash_pairs_ds_equivalence(docs_ds, ray_session):
     )
 
 
-def test_ngram_pairs_ds_equivalence(docs_ds, ray_session):
-    """ngram_jaccard_pairs_ds == the driver-side generator (uncapped at
-    this scale), and the capped-posting counter survives the Dataset
-    path when a tiny cap engages."""
+def test_ngram_pairs_ds_equivalence(docs_ds, docs_py, ray_session, monkeypatch):
+    """ngram_jaccard_pairs_ds finds exactly the brute-force pairs
+    (Python shingle sets, uncapped at this scale) with their Jaccard
+    rounded to 6 digits, on both ``_attach_attr`` routes, and the
+    capped-posting counter survives the Dataset path when a tiny cap
+    engages."""
     import pandas as pd
 
     import ray.data as rd
-    from xs_vlm_ocr_ray.stages.dedup import (
-        ngram_jaccard_pairs,
-        ngram_jaccard_pairs_ds,
-        real_pairs_ds,
-    )
+    from xs_vlm_ocr_ray.stages.dedup import ngram_jaccard_pairs_ds
 
-    want = ngram_jaccard_pairs(docs_ds, threshold=0.3)
-    assert want.attrs["n_oversized_buckets"] == 0
-    got = (
-        real_pairs_ds(ngram_jaccard_pairs_ds(docs_ds, threshold=0.3))
-        .to_pandas()
-        .sort_values(["a", "b"])
-        .reset_index(drop=True)
-    )
+    want = _brute_ngram_pairs(docs_py, 0.3)
     assert len(want) > 0
-    pd.testing.assert_frame_equal(got, want)
+    for marker in _both_attach_routes(monkeypatch):
+        pairs = ngram_jaccard_pairs_ds(docs_ds, threshold=0.3)
+        assert _ran(pairs, marker)
+        got = pairs.to_pandas()
+        assert int(got["n_oversized"].sum()) == 0
+        assert _scored(got, "jaccard") == pytest.approx(want, abs=1e-6)
 
     # cap engagement: identical docs -> every posting list holds all
     # ids > max_posting=2 -> no pairs, counter rows present
@@ -766,7 +811,8 @@ def test_cc_raises_on_round_budget_exhaustion(ray_session):
 def test_driver_pair_generators_return_typed_empties(ray_session):
     """A no-pair input (one document, one vector): every driver pair
     generator returns int64 a/b and the skew counter attr, not pandas'
-    float64 default for an empty column."""
+    float64 default for an empty column; the verify tail returns int64
+    a/b and float64 jaccard when no pair verifies."""
     import pandas as pd
 
     import ray.data as rd
@@ -777,6 +823,7 @@ def test_driver_pair_generators_return_typed_empties(ray_session):
         lsh_candidate_pairs,
         ngram_jaccard_pairs,
         simhash_neardup_pairs,
+        verify_pairs_jaccard,
     )
 
     docs = rd.from_pandas(
@@ -795,3 +842,10 @@ def test_driver_pair_generators_return_typed_empties(ray_session):
         assert len(out) == 0, name
         assert out["a"].dtype == "int64" and out["b"].dtype == "int64", name
         assert out.attrs["n_oversized_buckets"] == 0, name
+    # the verify tail, when its one candidate pair does not verify
+    two = rd.from_pandas(pd.DataFrame({"doc_id": [7, 9], "text": [
+        "one lonely document with no near duplicate", "another text entirely unlike the first one",
+    ]}))
+    out = verify_pairs_jaccard(two, pd.DataFrame({"a": [7], "b": [9]}))
+    assert len(out) == 0
+    assert list(out.dtypes) == ["int64", "int64", "float64"]

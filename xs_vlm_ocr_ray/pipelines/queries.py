@@ -39,15 +39,6 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Datas
     return rd.read_parquet(_p(sf_dir, table), columns=columns)
 
 
-def _join_partitions(cap: int = 8) -> int:
-    # Ray's shuffle join runs one aggregator ACTOR per partition;
-    # partitions > schedulable CPUs deadlock small sessions (see
-    # stages/dedup._join_partitions)
-    from ..stages.dedup import _join_partitions as jp
-
-    return jp(cap)
-
-
 # --------------------------------------------------------------------------
 # Q1-style grouped aggregate (reference A1-A3 generalized; TPC-H Q1 shape)
 
@@ -242,6 +233,8 @@ def q4_priority_exists(sf_dir: str) -> pd.DataFrame:
     qualifying keys via per-batch dedup + keyed groupby (true distinct,
     no driver materialization), then a hash-shuffle inner join back to
     orders, then the usual partial-agg reduce."""
+    from ..stages.dedup import _join_partitions
+
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def qualifying(t: pa.Table) -> pa.Table:
@@ -291,6 +284,8 @@ def q_orders_anti_join(sf_dir: str) -> pd.DataFrame:
     anti-join (skip work already done): orders with NO qualifying
     lineitem, counted by priority. Ray-native: left-outer hash join
     against the distinct qualifying keys, keep the null side."""
+    from ..stages.dedup import _join_partitions
+
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def qualifying(t: pa.Table) -> pa.Table:
@@ -736,6 +731,8 @@ def q_orders_join_shuffle(sf_dir: str) -> pd.DataFrame:
     join (`Dataset.join`) — the strategy for two LARGE sides where
     neither broadcasts. Post-join aggregation is the usual partial
     reduce → tiny groupby."""
+    from ..stages.dedup import _join_partitions
+
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     joined = orders.join(
@@ -1161,9 +1158,7 @@ def q_doc_minhash_neardup(sf_dir: str) -> pd.DataFrame:
     # cheap-init kernel → task-pool instance (no actor CPU reservation)
     sigs = docs.map_batches(MinHasher(), batch_format="pyarrow")
     bands = lsh_band_rows(sigs)
-    pairs = lsh_candidate_pairs(bands)
-    verified = verify_pairs_jaccard(docs, pairs, threshold=0.5)
-    return verified.sort_values(["a", "b"]).reset_index(drop=True) if len(verified) else verified
+    return verify_pairs_jaccard(docs, lsh_candidate_pairs(bands), threshold=0.5)
 
 
 def q_doc_ngram_jaccard(sf_dir: str) -> pd.DataFrame:
@@ -1171,7 +1166,7 @@ def q_doc_ngram_jaccard(sf_dir: str) -> pd.DataFrame:
     inverted shingle index, oracle-checked against a DuckDB self-join.
     Exact at driver-check scale (no posting exceeds the default skew
     cap — asserted); at corpus scale the cap makes it a
-    precision-preserving lower bound (see ngram_jaccard_pairs)."""
+    precision-preserving lower bound (see ngram_jaccard_pairs_ds)."""
     from ..stages.dedup import ngram_jaccard_pairs
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])

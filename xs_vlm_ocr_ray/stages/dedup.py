@@ -28,15 +28,18 @@ The pair-set contract, shared by every near-dup generator:
 - the Dataset form (``*_pairs_ds``) keeps one row per pair and the
   counter rows (``_distinct_pairs_ds``); ``real_pairs_ds`` strips the
   counter rows before the pairs are verified or clustered;
-- the driver form (query surface, small pair lists) is
-  ``collect_pairs``: the summed counter lands in
+- every driver form (query surface, small pair lists) is a collect of
+  a Dataset form by ``collect_pairs``: the summed counter lands in
   ``attrs['n_oversized_buckets']`` and the pairs come back distinct,
-  sorted by (a, b), with int64 ``a``/``b`` even when empty.
+  sorted by (a, b), with int64 ``a``/``b`` even when empty. Each
+  family has ONE scoring tail, the Dataset form's.
 
 Two more rules live in one place each: a Dataset is filtered by an id
 set only through ``_filter_ids`` (a broadcast ``is_in`` filter, or a
 semi/anti hash join), and a per-key attribute reaches pair rows only
-through the reduce-side join ``_attach_attr``.
+through ``_attach_attr``, whose two routes are picked by the attribute
+side's size (a broadcast under ``_ATTR_BROADCAST_BYTES``, a tagged
+reduce-side join above it).
 
 Scale notes (100 TB design point):
 - every groupby here is preceded by a within-batch partial reduce, so
@@ -49,6 +52,7 @@ Scale notes (100 TB design point):
 from __future__ import annotations
 
 import hashlib
+import logging
 from itertools import chain
 
 import numpy as np
@@ -63,7 +67,9 @@ from .ann import round_half_away
 from ray.data.aggregate import Count, Min, Sum
 
 from ..cluster import cluster_cpus
-from ..functions.textstats import jaccard, shingles
+from ..functions.textstats import shingles
+
+log = logging.getLogger(__name__)
 
 # --- exact dedup ---------------------------------------------------------
 
@@ -480,20 +486,11 @@ def _candidate_shingles(
     )
 
 
-def _candidate_set_sizes(
-    docs_ds: rd.Dataset, cand_ids: pa.Array, text_col: str, id_col: str, shingle_k: int
-) -> rd.Dataset:
-    """(key, n) rows: the shingle-set size of each candidate doc that
-    has shingles (the map fuses into ``_candidate_shingles``' task, so
-    only the counts leave it)."""
-
-    def count(t: pa.Table) -> pa.Table:
-        n = pc.list_value_length(t["sh"]).cast(pa.int64())
-        return pa.table({"key": t["key"], "n": n}).filter(pc.greater(n, 0))
-
-    return _candidate_shingles(docs_ds, cand_ids, text_col, id_col, shingle_k).map_batches(
-        count, batch_format="pyarrow"
-    )
+# an attribute side up to this size is broadcast to the pair batches
+# instead of shuffled with them: 64 MiB is the order of the election's
+# winner broadcast (training._WINNER_BROADCAST_LIMIT, 5M int64 ids =
+# 40 MB), which every filter task of the curation run already holds
+_ATTR_BROADCAST_BYTES = 64 << 20
 
 
 def _attach_attr(
@@ -505,18 +502,53 @@ def _attach_attr(
     out: pa.Field,
     finish=None,
 ) -> rd.Dataset:
-    """Reduce-side join: append ``attr_ds[attr_col]`` (any type, keyed
-    by ``attr_ds``'s unique int ``key`` column) to every pair row whose
+    """Inner join: append ``attr_ds[attr_col]`` (any type, keyed by
+    ``attr_ds``'s unique int ``key`` column) to every pair row whose
     ``on`` column matches, as column ``out``; the pair columns kept are
-    ``carry``. Attr rows and pair rows are tagged under ONE schema (each
-    side's missing columns null), unioned, grouped by a coarse key hash
-    and matched with a vectorized ``index_in`` inside each group — the
-    one tagged union in this module, and no ``Dataset.join`` (whose Ray
-    2.49 planner mis-resolves a right side that is also unioned back
-    into the same plan). Pairs whose key has no attr row are dropped
-    (inner). ``finish`` runs on each group's joined rows in the same
-    task, so a wide joined row never leaves it."""
+    ``carry``. ``attr_ds`` must be materialized: its ``size_bytes()``
+    (block metadata) picks the route.
+
+    - Up to ``_ATTR_BROADCAST_BYTES``: the attr side is ``ray.put``
+      once and each pairs batch is matched in one ``map_batches``.
+    - Above: the reduce-side join. Attr and pair rows are tagged under
+      ONE schema, unioned, grouped by a coarse key hash and matched
+      inside each group (no ``Dataset.join``: Ray 2.49's planner
+      mis-resolves a right side that is also unioned back into the
+      same plan).
+
+    Both match by a vectorized ``index_in`` and run ``finish`` on the
+    joined rows in the same task, so a wide joined row never leaves it.
+    ``finish`` sees an arbitrary subset of the joined rows (a batch or
+    a group), so it must be per row or a partial reduce."""
     fields = [*carry, out]
+
+    def match(pairs: pa.Table, keys: pa.Array, attr_keys: pa.Array, values: pa.Array) -> pa.Table:
+        idx = pc.index_in(keys, value_set=attr_keys)
+        hit = pc.is_valid(idx)
+        joined = pa.Table.from_arrays(
+            [pairs[f.name].filter(hit).cast(f.type) for f in carry]
+            + [values.take(idx.filter(hit))],
+            schema=pa.schema(fields),
+        )
+        return joined if finish is None else finish(joined)
+
+    # the operator's name in Ray's logged plan: shows what runs fused
+    name = f"attach_{out.name}" + (f"_{finish.__name__}" if finish is not None else "")
+    if attr_ds.size_bytes() <= _ATTR_BROADCAST_BYTES:
+        side = pa.concat_tables(
+            [b.select(["key", attr_col]) for b in ray.get(attr_ds.to_arrow_refs()) if b.num_rows]
+            or [pa.table({"key": pa.array([], pa.int64()), attr_col: pa.array([], out.type)})]
+        )
+        ref = ray.put((side["key"].combine_chunks().cast(pa.int64()),
+                       side[attr_col].combine_chunks().cast(out.type)))
+
+        def broadcast_join(t: pa.Table) -> pa.Table:
+            attr_keys, values = ray.get(ref)
+            return match(t, t[on].cast(pa.int64()), attr_keys, values)
+
+        broadcast_join.__name__ = f"broadcast_{name}"
+        return pairs_ds.map_batches(broadcast_join, batch_format="pyarrow")
+
     schema = pa.schema([("key", pa.int64()), ("kind", pa.int8()), *fields])
 
     def tagged(kind: int, key, cols: dict) -> pa.Table:
@@ -537,15 +569,12 @@ def _attach_attr(
     def join(t: pa.Table) -> pa.Table:
         is_attr = pc.equal(t["kind"], 0)
         attrs, pairs = t.filter(is_attr), t.filter(pc.invert(is_attr))
-        idx = pc.index_in(pairs["key"], value_set=attrs["key"].combine_chunks())
-        hit = pc.is_valid(idx)
-        joined = pairs.filter(hit).select(carry.names).append_column(
-            out, attrs[out.name].take(idx.filter(hit))
+        return match(
+            pairs, pairs["key"], attrs["key"].combine_chunks(),
+            attrs[out.name].combine_chunks(),
         )
-        return joined if finish is None else finish(joined)
 
-    # the operator's name in Ray's logged plan: shows what runs fused
-    join.__name__ = f"attach_{out.name}" + (f"_{finish.__name__}" if finish is not None else "")
+    join.__name__ = name
     tagged_ds = attr_ds.map_batches(tag_attr, batch_format="pyarrow").union(
         pairs_ds.map_batches(tag_pairs, batch_format="pyarrow")
     )
@@ -696,34 +725,6 @@ def lsh_candidate_pairs(
     return collect_pairs(_bucket_pairs(band_ds, id_col, ("band_id", "band_hash"), max_bucket))
 
 
-def verify_pairs_jaccard(
-    docs_ds: rd.Dataset,
-    pairs: pd.DataFrame,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    shingle_k: int = 5,
-    threshold: float = 0.5,
-) -> pd.DataFrame:
-    """Exact Jaccard verification of candidate pairs. The candidate id
-    set is broadcast as a filter; shingle sets for candidates only are
-    computed distributed, then the (small) pair list is joined
-    driver-side."""
-    if pairs.empty:
-        return _empty_pairs(_JACCARD).to_pandas()
-    cand_ids = pa.array(sorted(set(pairs["a"]).union(pairs["b"])), pa.int64())
-    rows = _candidate_shingles(docs_ds, cand_ids, text_col, id_col, shingle_k).to_pandas()
-    sets = dict(zip(rows["key"].to_numpy(), (set(s) for s in rows["sh"])))
-    empty: set = set()
-    out = []
-    for a, b in zip(pairs["a"].to_numpy(), pairs["b"].to_numpy()):
-        j = jaccard(sets.get(a, empty), sets.get(b, empty))
-        if j >= threshold:
-            out.append({"a": int(a), "b": int(b), "jaccard": float(round_half_away(j, 6))})
-    if not out:
-        return _empty_pairs(_JACCARD).to_pandas()
-    return pd.DataFrame(out, columns=["a", "b", "jaccard"])
-
-
 def verify_pairs_jaccard_ds(
     docs_ds: rd.Dataset,
     pairs_ds: rd.Dataset,
@@ -732,33 +733,24 @@ def verify_pairs_jaccard_ds(
     shingle_k: int = 5,
     threshold: float = 0.5,
 ) -> rd.Dataset:
-    """Exact Jaccard verification of candidate pairs, Dataset-native —
-    the corpus-scale path (``verify_pairs_jaccard`` is the driver-side
-    form; at 100 TB the per-candidate shingle SETS must never live in
-    one driver dict).
+    """Exact Jaccard verification of candidate pairs (the MinHash+LSH
+    family's one scoring tail; ``verify_pairs_jaccard`` collects it).
 
     Plan: candidate ids (ints only) broadcast into an ``is_in`` filter →
     per-candidate sorted shingle arrays computed distributed → two
-    reduce-side joins (``_attach_attr``) deliver each pair its two
-    shingle arrays; the exact Jaccard is computed inside the second
-    join's task, so the widest intermediate (pair + both arrays) never
-    leaves it.
+    ``_attach_attr`` joins deliver each pair its two shingle arrays;
+    the exact Jaccard is computed, vectorized, inside the second join's
+    task, so the widest intermediate (pair + both arrays) never leaves
+    it.
 
-    Semantics match ``verify_pairs_jaccard`` with one edge: a pair
-    whose id has NO row in ``docs_ds`` is dropped by the inner join
-    (the driver path scores a missing doc as an empty set). Pairs
-    produced from ``docs_ds`` itself — the only supported lineage —
-    never hit this; a caller feeding pairs from a DIFFERENT lineage is
-    detected (candidate ids with no doc row are counted against the
-    materialized shingle set — no extra pass) and logged as a warning
-    with the missing-id count, so silently-fewer verified pairs never
-    pass unnoticed (ADVICE r3). Both-empty shingle sets score 1.0,
+    A pair whose id has NO row in ``docs_ds`` (pairs from another
+    lineage) is dropped by the inner join and counted into a logged
+    warning, never silently. Both-empty shingle sets score 1.0,
     one-empty 0.0, exactly like ``functions.textstats.jaccard``.
 
     Input: real pair rows (a, b) — counter rows stripped with
     ``real_pairs_ds``. Output: (a, b, jaccard) rows with jaccard ≥
-    threshold, rounded 6.
-    """
+    threshold, rounded 6."""
     pairs_ds = pairs_ds.materialize()  # consumed twice: id scan + join
     schema = pairs_ds.schema()  # None for a schema-less empty dataset
     if schema is not None and "n_oversized" in schema.names:
@@ -780,9 +772,7 @@ def verify_pairs_jaccard_ds(
     # docs outside this dataset and those pairs will drop at the join
     n_missing = len(cand_ids) - sh_ds.count()
     if n_missing > 0:
-        import logging
-
-        logging.getLogger(__name__).warning(
+        log.warning(
             "verify_pairs_jaccard_ds: %d candidate id(s) have no row in "
             "docs_ds; every pair touching them is dropped (inner join). "
             "Feed pairs generated from this docs_ds lineage.",
@@ -790,33 +780,22 @@ def verify_pairs_jaccard_ds(
         )
 
     def score(t: pa.Table) -> pa.Table:
-        m = t.to_pandas()
-        out_a: list[int] = []
-        out_b: list[int] = []
-        out_j: list[float] = []
-        for a, b, xa, xb in zip(m["a"], m["b"], m["sh_a"], m["sh_b"]):
-            la, lb = len(xa), len(xb)
-            if la == 0 and lb == 0:
-                j = 1.0
-            elif la == 0 or lb == 0:
-                j = 0.0
-            else:
-                inter = np.intersect1d(
-                    np.asarray(xa, dtype=np.uint64),
-                    np.asarray(xb, dtype=np.uint64),
-                    assume_unique=True,
-                ).size
-                j = inter / (la + lb - inter)
-            if j >= threshold:
-                out_a.append(int(a))
-                out_b.append(int(b))
-                out_j.append(float(round_half_away(j, 6)))
-        return pa.table(
-            {
-                "a": pa.array(out_a, pa.int64()),
-                "b": pa.array(out_b, pa.int64()),
-                "jaccard": pa.array(out_j, pa.float64()),
-            }
+        # |A ∩ B| per row: neither set repeats a hash, so a (row, hash)
+        # found twice in the two flattened lists is a shared shingle
+        lists = [t[c].combine_chunks() for c in ("sh_a", "sh_b")]
+        rows = np.concatenate([pc.list_parent_indices(x).to_numpy() for x in lists])
+        hs = np.concatenate([pc.list_flatten(x).to_numpy() for x in lists])
+        order = np.lexsort((hs, rows))
+        rows, hs = rows[order], hs[order]
+        inter = np.bincount(
+            rows[1:][(rows[1:] == rows[:-1]) & (hs[1:] == hs[:-1])], minlength=t.num_rows
+        )
+        union = sum(pc.list_value_length(x).to_numpy() for x in lists) - inter
+        # two empty sets score 1.0, like functions.textstats.jaccard
+        j = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+        keep = j >= threshold
+        return t.select(["a", "b"]).filter(pa.array(keep)).append_column(
+            _JACCARD, pa.array(round_half_away(j[keep], 6))
         )
 
     sh_a = pa.field("sh_a", _SHINGLES)
@@ -825,6 +804,24 @@ def verify_pairs_jaccard_ds(
         with_a, sh_ds, "b", _PAIR.append(sh_a), "sh", pa.field("sh_b", _SHINGLES),
         finish=score,
     )
+
+
+def verify_pairs_jaccard(
+    docs_ds: rd.Dataset,
+    pairs: pd.DataFrame,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+    shingle_k: int = 5,
+    threshold: float = 0.5,
+) -> pd.DataFrame:
+    """Driver-side form of ``verify_pairs_jaccard_ds`` (query surface):
+    the verified rows sorted by (a, b), typed even when empty."""
+    out = verify_pairs_jaccard_ds(
+        docs_ds, rd.from_pandas(pairs[["a", "b"]]), text_col, id_col, shingle_k, threshold
+    ).to_pandas()
+    if out.empty:  # no block left to carry the schema
+        return _empty_pairs(_JACCARD).to_pandas()
+    return out.sort_values(["a", "b"]).reset_index(drop=True)
 
 
 # --- n-gram Jaccard near-dup (inverted shingle index) --------------------
@@ -855,67 +852,6 @@ def _ngram_intersection_ds(
     )
 
 
-def ngram_jaccard_pairs(
-    docs_ds: rd.Dataset,
-    threshold: float = 0.3,
-    shingle_k: int = 5,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    max_posting: int | None = 1024,
-) -> pd.DataFrame:
-    """n-gram (word k-shingle) Jaccard near-dup pairs via a distributed
-    inverted shingle index.
-
-    Plan: explode distinct shingle hashes per doc → ``groupby(shingle)``
-    emits candidate pairs per posting list → ``groupby(pair)`` counts
-    shared shingles (= |A∩B| exactly) → join per-doc set sizes for the
-    CANDIDATE ids only → jaccard = i/(|A|+|B|-i), filter ≥ threshold.
-    (Driver-side tail; ``ngram_jaccard_pairs_ds`` is the corpus-scale
-    path.)
-
-    ``max_posting`` frequency-caps hot shingles (a stopword shingle
-    shared by p docs would otherwise generate O(p²) pairs) — the
-    standard skew guard, ON by default (1024). Capped posting lists are
-    counted in band and surfaced as ``attrs['n_oversized_buckets']`` —
-    never silently.
-
-    Cap semantics (precision-preserving lower bound): a capped shingle
-    contributes to NO pair's intersection count, so every reported
-    ``jaccard`` is ≤ the true value — a reported pair always truly
-    meets the threshold (no false positives), but a pair whose
-    qualifying overlap runs through capped shingles can be missed or
-    under-scored. With ``n_oversized_buckets == 0`` the result is exact.
-    Pass ``max_posting=None`` to force exactness regardless of skew
-    (unsafe at corpus scale: one hot shingle → quadratic pairs).
-    """
-    inter = collect_pairs(
-        _ngram_intersection_ds(
-            docs_ds, shingle_k=shingle_k, text_col=text_col, id_col=id_col,
-            max_posting=max_posting,
-        ),
-        pa.field("i", pa.int64()),
-    )
-    n_oversized = inter.attrs["n_oversized_buckets"]
-    if inter.empty:
-        out = _empty_pairs(_JACCARD).to_pandas()
-        out.attrs["n_oversized_buckets"] = n_oversized
-        return out
-
-    cand_ids = pa.array(sorted(set(inter["a"]).union(inter["b"])), pa.int64())
-    sizes = (
-        _candidate_set_sizes(docs_ds, cand_ids, text_col, id_col, shingle_k)
-        .to_pandas()
-        .set_index("key")["n"]
-    )
-    inter["jaccard"] = round_half_away(
-        inter["i"] / (sizes.loc[inter["a"]].to_numpy() + sizes.loc[inter["b"]].to_numpy() - inter["i"]),
-        6,
-    )
-    out = inter[inter["jaccard"] >= threshold][["a", "b", "jaccard"]].reset_index(drop=True)
-    out.attrs["n_oversized_buckets"] = n_oversized
-    return out
-
-
 def ngram_jaccard_pairs_ds(
     docs_ds: rd.Dataset,
     threshold: float = 0.3,
@@ -924,52 +860,62 @@ def ngram_jaccard_pairs_ds(
     id_col: str = "doc_id",
     max_posting: int | None = 1024,
 ) -> rd.Dataset:
-    """Dataset-native ``ngram_jaccard_pairs`` — the corpus-scale tail:
-    the intersection counts stay a Dataset, per-doc shingle-set sizes
-    are delivered to pair rows by two reduce-side joins
-    (``_attach_attr``), and the Jaccard filter runs inside the second
-    join's task. Output (a, b, jaccard, n_oversized); cap semantics as
-    in ``ngram_jaccard_pairs`` (precision-preserving lower bound)."""
+    """n-gram (word k-shingle) Jaccard near-dup pairs via a distributed
+    inverted shingle index.
+
+    Plan: explode distinct shingle hashes per doc → ``groupby(shingle)``
+    emits candidate pairs per posting list → ``groupby(pair)`` counts
+    shared shingles (= |A∩B| exactly) → two ``_attach_attr`` joins
+    deliver the CANDIDATE docs' set sizes → jaccard = i/(|A|+|B|-i),
+    filtered ≥ threshold in the second join's task. Output (a, b,
+    jaccard, n_oversized).
+
+    ``max_posting`` frequency-caps hot shingles (a stopword shingle
+    shared by p docs would otherwise generate O(p²) pairs) — the
+    standard skew guard, ON by default (1024). Capped posting lists are
+    counted in band (``n_oversized``; ``attrs['n_oversized_buckets']``
+    of the driver form) — never silently.
+
+    Cap semantics (precision-preserving lower bound): a capped shingle
+    contributes to NO pair's intersection count, so every reported
+    ``jaccard`` is ≤ the true value — a reported pair always truly
+    meets the threshold (no false positives), but a pair whose
+    qualifying overlap runs through capped shingles can be missed or
+    under-scored. With no capped posting list the result is exact.
+    Pass ``max_posting=None`` to force exactness regardless of skew
+    (unsafe at corpus scale: one hot shingle → quadratic pairs)."""
     inter = _ngram_intersection_ds(
         docs_ds, shingle_k=shingle_k, text_col=text_col, id_col=id_col,
         max_posting=max_posting,
     ).materialize()
 
     def counters(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["n_oversized"], 0))
-        return pa.table(
-            {
-                "a": t["a"],
-                "b": t["b"],
-                "jaccard": pa.array(np.zeros(t.num_rows, dtype=np.float64)),
-                "n_oversized": t["n_oversized"],
-            }
-        )
+        t = t.filter(pc.greater(t["n_oversized"], 0))  # (a, b, i, n_oversized)
+        return t.set_column(2, _JACCARD, pa.array(np.zeros(t.num_rows)))
 
     counter_rows = inter.map_batches(counters, batch_format="pyarrow")
-    real = real_pairs_ds(inter).materialize()
-    if real.count() == 0:
+    real = real_pairs_ds(inter)
+    cand_ids = _candidate_id_array(real)
+    if len(cand_ids) == 0:
         # nothing survived the cap (or no candidates at all): counter
         # rows only, under the full output schema
         return rd.from_arrow(_empty_pairs(_JACCARD, counter=True)).union(counter_rows)
 
+    def set_size(t: pa.Table) -> pa.Table:
+        # fuses into _candidate_shingles' task: only the counts leave it
+        n = pc.list_value_length(t["sh"]).cast(pa.int64())
+        return pa.table({"key": t["key"], "n": n}).filter(pc.greater(n, 0))
+
     def score(t: pa.Table) -> pa.Table:
         i = t["i"].to_numpy().astype(np.float64)
-        na = t["n_a"].to_numpy().astype(np.float64)
-        nb = t["n_b"].to_numpy().astype(np.float64)
-        j = round_half_away(i / (na + nb - i), 6)
+        j = round_half_away(i / (t["n_a"].to_numpy() + t["n_b"].to_numpy() - i), 6)
         keep = j >= threshold
-        return pa.table(
-            {
-                "a": t["a"].filter(pa.array(keep)),
-                "b": t["b"].filter(pa.array(keep)),
-                "jaccard": pa.array(j[keep], pa.float64()),
-                "n_oversized": pa.array(np.zeros(int(keep.sum()), dtype=np.int64)),
-            }
-        )
+        return t.select(["a", "b"]).filter(pa.array(keep)).append_column(
+            _JACCARD, pa.array(j[keep])
+        ).append_column("n_oversized", pa.array(np.zeros(int(keep.sum()), np.int64)))
 
-    sizes = _candidate_set_sizes(
-        docs_ds, _candidate_id_array(real), text_col, id_col, shingle_k
+    sizes = _candidate_shingles(docs_ds, cand_ids, text_col, id_col, shingle_k).map_batches(
+        set_size, batch_format="pyarrow"
     ).materialize()
     carry = _PAIR.append(pa.field("i", pa.int64()))
     n_a = pa.field("n_a", pa.int64())
@@ -977,6 +923,25 @@ def ngram_jaccard_pairs_ds(
     return _attach_attr(
         with_na, sizes, "b", carry.append(n_a), "n", pa.field("n_b", pa.int64()), finish=score
     ).union(counter_rows)
+
+
+def ngram_jaccard_pairs(
+    docs_ds: rd.Dataset,
+    threshold: float = 0.3,
+    shingle_k: int = 5,
+    text_col: str = "text",
+    id_col: str = "doc_id",
+    max_posting: int | None = 1024,
+) -> pd.DataFrame:
+    """Driver-side form of ``ngram_jaccard_pairs_ds`` (query surface /
+    small pair lists), collected by ``collect_pairs``."""
+    return collect_pairs(
+        ngram_jaccard_pairs_ds(
+            docs_ds, threshold=threshold, shingle_k=shingle_k, text_col=text_col,
+            id_col=id_col, max_posting=max_posting,
+        ),
+        _JACCARD,
+    )
 
 
 # --- SimHash -------------------------------------------------------------
