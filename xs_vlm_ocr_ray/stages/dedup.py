@@ -486,99 +486,118 @@ def _candidate_shingles(
     )
 
 
-# an attribute side up to this size is broadcast to the pair batches
-# instead of shuffled with them: 64 MiB is the order of the election's
-# winner broadcast (training._WINNER_BROADCAST_LIMIT, 5M int64 ids =
-# 40 MB), which every filter task of the curation run already holds
+# an attribute side up to this size is broadcast to the pair blocks
+# instead of shuffled with them. The broadcast measured faster at every
+# size tried on one node (CC labels 14-69 MB, verify shingles 16-80 MB;
+# bench_artifacts/r17_neardup_forms.json), so the bound caps what the
+# driver and each worker hold rather than marking a speed crossover
 _ATTR_BROADCAST_BYTES = 64 << 20
 
 
 def _attach_attr(
     pairs_ds: rd.Dataset,
     attr_ds: rd.Dataset,
-    on: str,
-    carry: pa.Schema,
     attr_col: str,
-    out: pa.Field,
+    carry: pa.Schema,
+    outs: dict[str, pa.Field],
     finish=None,
 ) -> rd.Dataset:
-    """Inner join: append ``attr_ds[attr_col]`` (any type, keyed by
-    ``attr_ds``'s unique int ``key`` column) to every pair row whose
-    ``on`` column matches, as column ``out``; the pair columns kept are
-    ``carry``. ``attr_ds`` must be materialized: its ``size_bytes()``
-    (block metadata) picks the route.
+    """Inner join: for every ``on: out`` of ``outs``, append
+    ``attr_ds[attr_col]`` (keyed by ``attr_ds``'s unique int ``key``
+    column) to every pair row whose ``on`` column matches, as column
+    ``out``; a row missing any of its keys is dropped. The pair columns
+    kept are ``carry``. ``attr_ds`` must be materialized: its
+    ``size_bytes()`` (block metadata, nothing runs) picks the route.
 
-    - Up to ``_ATTR_BROADCAST_BYTES``: the attr side is ``ray.put``
-      once and each pairs batch is matched in one ``map_batches``.
-    - Above: the reduce-side join. Attr and pair rows are tagged under
-      ONE schema, unioned, grouped by a coarse key hash and matched
-      inside each group (no ``Dataset.join``: Ray 2.49's planner
-      mis-resolves a right side that is also unioned back into the
-      same plan).
+    - Up to ``_ATTR_BROADCAST_BYTES``: the attr side is pulled once,
+      sorted by key and ``ray.put``; one ``map_batches`` (one batch per
+      block) matches every ``on`` of a pairs block against it.
+    - Above: one reduce-side join per ``on``. Attr and pair rows are
+      tagged under ONE schema, unioned, grouped by a coarse key hash
+      and matched inside each group (no ``Dataset.join``: Ray 2.49's
+      planner mis-resolves a right side that is also unioned back into
+      the same plan).
 
-    Both match by a vectorized ``index_in`` and run ``finish`` on the
-    joined rows in the same task, so a wide joined row never leaves it.
-    ``finish`` sees an arbitrary subset of the joined rows (a batch or
-    a group), so it must be per row or a partial reduce."""
-    fields = [*carry, out]
+    Both match by binary search in the key-sorted attr side and run
+    ``finish`` on the joined rows in the same task, so a wide joined row
+    never leaves it. ``finish`` sees an arbitrary subset of the joined
+    rows (a block or a group), so it must be per row or a partial
+    reduce."""
 
-    def match(pairs: pa.Table, keys: pa.Array, attr_keys: pa.Array, values: pa.Array) -> pa.Table:
-        idx = pc.index_in(keys, value_set=attr_keys)
-        hit = pc.is_valid(idx)
+    def match(pairs: pa.Table, carry: pa.Schema, ons: dict, side, fin) -> pa.Table:
+        keys, values = side  # keys sorted and unique, values in key order
+        hit, pos = np.full(pairs.num_rows, len(keys) > 0), {}
+        for on in ons:
+            want = pairs[on].to_numpy().astype(np.int64, copy=False)
+            pos[on] = np.searchsorted(keys, want)  # len(keys): no match
+            hit &= keys[np.minimum(pos[on], len(keys) - 1)] == want if len(keys) else False
         joined = pa.Table.from_arrays(
-            [pairs[f.name].filter(hit).cast(f.type) for f in carry]
-            + [values.take(idx.filter(hit))],
-            schema=pa.schema(fields),
+            [pairs[f.name].filter(pa.array(hit)).cast(f.type) for f in carry]
+            + [values.take(pa.array(pos[on][hit])).cast(f.type) for on, f in ons.items()],
+            schema=pa.schema([*carry, *ons.values()]),
         )
-        return joined if finish is None else finish(joined)
+        return joined if fin is None else fin(joined)
 
-    # the operator's name in Ray's logged plan: shows what runs fused
-    name = f"attach_{out.name}" + (f"_{finish.__name__}" if finish is not None else "")
+    def sorted_side(keys, values: pa.ChunkedArray):
+        keys = np.asarray(keys, np.int64)
+        order = np.argsort(keys)
+        return keys[order], values.combine_chunks().take(pa.array(order))
+
+    def op_name(outs: dict, fin) -> str:
+        # the operator's name in Ray's logged plan: shows what runs fused
+        names = [f.name for f in outs.values()] + ([fin.__name__] if fin is not None else [])
+        return "_".join(["attach", *names])
+
     if attr_ds.size_bytes() <= _ATTR_BROADCAST_BYTES:
-        side = pa.concat_tables(
-            [b.select(["key", attr_col]) for b in ray.get(attr_ds.to_arrow_refs()) if b.num_rows]
-            or [pa.table({"key": pa.array([], pa.int64()), attr_col: pa.array([], out.type)})]
-        )
-        ref = ray.put((side["key"].combine_chunks().cast(pa.int64()),
-                       side[attr_col].combine_chunks().cast(out.type)))
+        vtype = next(iter(outs.values())).type
+        blocks = [b for b in ray.get(attr_ds.to_arrow_refs()) if b.num_rows]
+        ref = ray.put(sorted_side(
+            np.concatenate([b["key"].to_numpy() for b in blocks] or [[]]),
+            pa.chunked_array([c for b in blocks for c in b[attr_col].cast(vtype).chunks], vtype),
+        ))
 
         def broadcast_join(t: pa.Table) -> pa.Table:
-            attr_keys, values = ray.get(ref)
-            return match(t, t[on].cast(pa.int64()), attr_keys, values)
+            return match(t, carry, outs, ray.get(ref), finish)
 
-        broadcast_join.__name__ = f"broadcast_{name}"
+        broadcast_join.__name__ = f"broadcast_{op_name(outs, finish)}"
         return pairs_ds.map_batches(broadcast_join, batch_format="pyarrow")
 
-    schema = pa.schema([("key", pa.int64()), ("kind", pa.int8()), *fields])
+    def reduce_join(ds: rd.Dataset, on: str, carry: pa.Schema, out: pa.Field, fin) -> rd.Dataset:
+        fields = [*carry, out]
+        schema = pa.schema([("key", pa.int64()), ("kind", pa.int8()), *fields])
 
-    def tagged(kind: int, key, cols: dict) -> pa.Table:
-        n = len(key)
-        arrays = [
-            cols[f.name].cast(f.type) if f.name in cols else pa.nulls(n, f.type)
-            for f in fields
-        ]
-        kinds = pa.array(np.full(n, kind, dtype=np.int8))
-        return pa.Table.from_arrays([key.cast(pa.int64()), kinds, *arrays], schema=schema)
+        def tagged(kind: int, key, cols: dict) -> pa.Table:
+            n = len(key)
+            arrays = [
+                cols[f.name].cast(f.type) if f.name in cols else pa.nulls(n, f.type)
+                for f in fields
+            ]
+            kinds = pa.array(np.full(n, kind, dtype=np.int8))
+            return pa.Table.from_arrays([key.cast(pa.int64()), kinds, *arrays], schema=schema)
 
-    def tag_attr(t: pa.Table) -> pa.Table:
-        return tagged(0, t["key"], {out.name: t[attr_col]})
+        def tag_attr(t: pa.Table) -> pa.Table:
+            return tagged(0, t["key"], {out.name: t[attr_col]})
 
-    def tag_pairs(t: pa.Table) -> pa.Table:
-        return tagged(1, t[on], {f.name: t[f.name] for f in carry})
+        def tag_pairs(t: pa.Table) -> pa.Table:
+            return tagged(1, t[on], {f.name: t[f.name] for f in carry})
 
-    def join(t: pa.Table) -> pa.Table:
-        is_attr = pc.equal(t["kind"], 0)
-        attrs, pairs = t.filter(is_attr), t.filter(pc.invert(is_attr))
-        return match(
-            pairs, pairs["key"], attrs["key"].combine_chunks(),
-            attrs[out.name].combine_chunks(),
+        def join(t: pa.Table) -> pa.Table:
+            is_attr = pc.equal(t["kind"], 0)
+            attrs, pairs = t.filter(is_attr), t.filter(pc.invert(is_attr))
+            side = sorted_side(attrs["key"].to_numpy(), attrs[out.name])
+            return match(pairs, carry, {"key": out}, side, fin)
+
+        join.__name__ = op_name({on: out}, fin)
+        tagged_ds = attr_ds.map_batches(tag_attr, batch_format="pyarrow").union(
+            ds.map_batches(tag_pairs, batch_format="pyarrow")
         )
+        return _by_coarse(tagged_ds, "key", join)
 
-    join.__name__ = name
-    tagged_ds = attr_ds.map_batches(tag_attr, batch_format="pyarrow").union(
-        pairs_ds.map_batches(tag_pairs, batch_format="pyarrow")
-    )
-    return _by_coarse(tagged_ds, "key", join)
+    kept = carry
+    for i, (on, out) in enumerate(outs.items()):
+        pairs_ds = reduce_join(pairs_ds, on, kept, out, finish if i == len(outs) - 1 else None)
+        kept = kept.append(out)
+    return pairs_ds
 
 
 # --- MinHash + LSH near-dup ---------------------------------------------
@@ -737,11 +756,10 @@ def verify_pairs_jaccard_ds(
     family's one scoring tail; ``verify_pairs_jaccard`` collects it).
 
     Plan: candidate ids (ints only) broadcast into an ``is_in`` filter →
-    per-candidate sorted shingle arrays computed distributed → two
-    ``_attach_attr`` joins deliver each pair its two shingle arrays;
-    the exact Jaccard is computed, vectorized, inside the second join's
-    task, so the widest intermediate (pair + both arrays) never leaves
-    it.
+    per-candidate sorted shingle arrays computed distributed → one
+    ``_attach_attr`` call delivers each pair its two shingle arrays;
+    the exact Jaccard is computed, vectorized, inside the joining task,
+    so the widest intermediate (pair + both arrays) never leaves it.
 
     A pair whose id has NO row in ``docs_ds`` (pairs from another
     lineage) is dropped by the inner join and counted into a logged
@@ -798,12 +816,8 @@ def verify_pairs_jaccard_ds(
             _JACCARD, pa.array(round_half_away(j[keep], 6))
         )
 
-    sh_a = pa.field("sh_a", _SHINGLES)
-    with_a = _attach_attr(pairs_ds, sh_ds, "a", _PAIR, "sh", sh_a)
-    return _attach_attr(
-        with_a, sh_ds, "b", _PAIR.append(sh_a), "sh", pa.field("sh_b", _SHINGLES),
-        finish=score,
-    )
+    sh = {"a": pa.field("sh_a", _SHINGLES), "b": pa.field("sh_b", _SHINGLES)}
+    return _attach_attr(pairs_ds, sh_ds, "sh", _PAIR, sh, finish=score)
 
 
 def verify_pairs_jaccard(
@@ -827,31 +841,6 @@ def verify_pairs_jaccard(
 # --- n-gram Jaccard near-dup (inverted shingle index) --------------------
 
 
-def _ngram_intersection_ds(
-    docs_ds: rd.Dataset,
-    shingle_k: int = 5,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    max_posting: int | None = 1024,
-) -> rd.Dataset:
-    """Shared head of the n-gram Jaccard generators: inverted shingle
-    index → per-posting pair emission (skew-capped at ``max_posting``)
-    → pair-keyed intersection counts. Output (a, b, i, n_oversized)."""
-
-    def explode(t: pa.Table) -> pa.Table:
-        flat, counts = _flat_shingles(t[text_col].to_pylist(), shingle_k)
-        ids = np.repeat(t[id_col].to_numpy(), counts)
-        return pa.table({id_col: pa.array(ids, pa.int64()), "sh": flat})
-
-    postings = docs_ds.map_batches(explode, batch_format="pyarrow")
-    pair_rows = _bucket_pairs(
-        postings, id_col, ("sh",), max_posting, buckets=_POSTING_COARSE_BUCKETS
-    )
-    return pair_rows.groupby(["a", "b"]).aggregate(
-        Count(alias_name="i"), Sum("n_oversized", alias_name="n_oversized")
-    )
-
-
 def ngram_jaccard_pairs_ds(
     docs_ds: rd.Dataset,
     threshold: float = 0.3,
@@ -865,10 +854,10 @@ def ngram_jaccard_pairs_ds(
 
     Plan: explode distinct shingle hashes per doc → ``groupby(shingle)``
     emits candidate pairs per posting list → ``groupby(pair)`` counts
-    shared shingles (= |A∩B| exactly) → two ``_attach_attr`` joins
-    deliver the CANDIDATE docs' set sizes → jaccard = i/(|A|+|B|-i),
-    filtered ≥ threshold in the second join's task. Output (a, b,
-    jaccard, n_oversized).
+    shared shingles (= |A∩B| exactly) → one ``_attach_attr`` call
+    delivers the CANDIDATE docs' set sizes → jaccard = i/(|A|+|B|-i),
+    filtered ≥ threshold in the joining task. Output (a, b, jaccard,
+    n_oversized).
 
     ``max_posting`` frequency-caps hot shingles (a stopword shingle
     shared by p docs would otherwise generate O(p²) pairs) — the
@@ -884,14 +873,24 @@ def ngram_jaccard_pairs_ds(
     under-scored. With no capped posting list the result is exact.
     Pass ``max_posting=None`` to force exactness regardless of skew
     (unsafe at corpus scale: one hot shingle → quadratic pairs)."""
-    inter = _ngram_intersection_ds(
-        docs_ds, shingle_k=shingle_k, text_col=text_col, id_col=id_col,
-        max_posting=max_posting,
+
+    def explode(t: pa.Table) -> pa.Table:
+        flat, counts = _flat_shingles(t[text_col].to_pylist(), shingle_k)
+        ids = np.repeat(t[id_col].to_numpy(), counts)
+        return pa.table({id_col: pa.array(ids, pa.int64()), "sh": flat})
+
+    postings = docs_ds.map_batches(explode, batch_format="pyarrow")
+    inter = _bucket_pairs(
+        postings, id_col, ("sh",), max_posting, buckets=_POSTING_COARSE_BUCKETS
+    ).groupby(["a", "b"]).aggregate(
+        Count(alias_name="i"), Sum("n_oversized", alias_name="n_oversized")
     ).materialize()
 
     def counters(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["n_oversized"], 0))  # (a, b, i, n_oversized)
-        return t.set_column(2, _JACCARD, pa.array(np.zeros(t.num_rows)))
+        t = t.filter(pc.greater(t["n_oversized"], 0))
+        return t.select(["a", "b"]).append_column(
+            _JACCARD, pa.array(np.zeros(t.num_rows))
+        ).append_column("n_oversized", t["n_oversized"])
 
     counter_rows = inter.map_batches(counters, batch_format="pyarrow")
     real = real_pairs_ds(inter)
@@ -918,11 +917,8 @@ def ngram_jaccard_pairs_ds(
         set_size, batch_format="pyarrow"
     ).materialize()
     carry = _PAIR.append(pa.field("i", pa.int64()))
-    n_a = pa.field("n_a", pa.int64())
-    with_na = _attach_attr(real, sizes, "a", carry, "n", n_a)
-    return _attach_attr(
-        with_na, sizes, "b", carry.append(n_a), "n", pa.field("n_b", pa.int64()), finish=score
-    ).union(counter_rows)
+    n = {"a": pa.field("n_a", pa.int64()), "b": pa.field("n_b", pa.int64())}
+    return _attach_attr(real, sizes, "n", carry, n, finish=score).union(counter_rows)
 
 
 def ngram_jaccard_pairs(
@@ -1429,7 +1425,7 @@ def neardup_clusters_distributed(pairs_ds: rd.Dataset, max_iters: int = 25) -> r
     converged = False
     for _ in range(max_iters):
         labels = new_labels(
-            _attach_attr(edges, labels, "nbr", carry, "label", label, finish=node_min)
+            _attach_attr(edges, labels, "label", carry, {"nbr": label}, finish=node_min)
         )
         s = label_sum(labels)
         if s == prev_sum:
